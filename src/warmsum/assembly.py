@@ -23,12 +23,13 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from .errors import CheckpointError, DataError
+from .fileio import write_atomic
 from .model import ModelConfig, expected_param_shapes, validate_params
 
 MAGIC = b"WARMSUMC"
@@ -49,7 +50,6 @@ class Checkpoint:
     params: dict[str, np.ndarray]
     vocab_ref: str = ""
     provenance: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         validate_params(self.params, self.config, self.kind)
@@ -91,7 +91,7 @@ def warm_copy_map(config: ModelConfig, mode: AssemblyMode) -> dict[str, str]:
         if name.startswith("encoder."):
             mapping[name] = name
         elif mode is AssemblyMode.WARM2WARM and name.startswith("decoder.") \
-                and ".cross_attn." not in name and name != "decoder.output_proj.weight":
+                and ".cross_attn." not in name:
             mapping[name] = name.replace("decoder.", "encoder.", 1)
     return mapping
 
@@ -99,8 +99,7 @@ def warm_copy_map(config: ModelConfig, mode: AssemblyMode) -> dict[str, str]:
 def _check_source_compatible(source: Checkpoint, config: ModelConfig,
                              mode: AssemblyMode) -> None:
     src = source.config
-    for attr in ("vocab_size", "d_model", "n_heads", "d_ff", "max_positions",
-                 "use_segment_embeddings", "activation"):
+    for attr in ("vocab_size", "d_model", "n_heads", "d_ff", "max_positions"):
         if getattr(src, attr) != getattr(config, attr):
             raise DataError(
                 f"source checkpoint incompatible: {attr} is {getattr(src, attr)}, "
@@ -152,9 +151,9 @@ def structural_diff(assembled: Checkpoint, source: Checkpoint) -> dict[str, list
     Copy candidates follow the canonical name mapping (encoder names map to
     themselves, decoder names to the matching encoder layer); comparison is
     by exact array equality, independent of how the checkpoint was built.
-    Names with no source analogue (the cross-attention groups, an untied
-    output projection) are fresh by definition; "unmapped" flags anomalies
-    where a mapped source tensor is missing.
+    Names with no source analogue (the cross-attention groups) are fresh by
+    definition; "unmapped" flags anomalies where a mapped source tensor is
+    missing.
     """
     mapping = warm_copy_map(assembled.config, AssemblyMode.WARM2WARM)
     copied, fresh, unmapped = [], [], []
@@ -175,14 +174,6 @@ def structural_diff(assembled: Checkpoint, source: Checkpoint) -> dict[str, list
 # serialization
 
 
-def _config_to_jsonable(config: ModelConfig) -> dict:
-    return asdict(config)
-
-
-def _config_from_jsonable(obj: dict) -> ModelConfig:
-    return ModelConfig(**obj)
-
-
 def save_checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     names = sorted(ckpt.params)
     table = []
@@ -192,7 +183,7 @@ def save_checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         table.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.size * 8
     header = {
-        "config": _config_to_jsonable(ckpt.config),
+        "config": asdict(ckpt.config),
         "kind": ckpt.kind,
         "provenance": ckpt.provenance,
         "tensors": table,
@@ -202,7 +193,7 @@ def save_checkpoint_bytes(ckpt: Checkpoint) -> bytes:
                               ensure_ascii=False).encode("utf-8")
     buf = io.BytesIO()
     buf.write(MAGIC)
-    buf.write(struct.pack("<I", ckpt.format_version))
+    buf.write(struct.pack("<I", FORMAT_VERSION))
     buf.write(struct.pack("<Q", len(header_bytes)))
     buf.write(header_bytes)
     for name in names:
@@ -211,17 +202,16 @@ def save_checkpoint_bytes(ckpt: Checkpoint) -> bytes:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    with open(path, "wb") as f:
-        f.write(save_checkpoint_bytes(ckpt))
+    write_atomic(path, save_checkpoint_bytes(ckpt))
 
 
 def load_checkpoint_bytes(blob: bytes, origin: str = "<bytes>") -> Checkpoint:
     if len(blob) < len(MAGIC) + 12 or blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{origin}: not a checkpoint file")
     version = struct.unpack_from("<I", blob, len(MAGIC))[0]
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise CheckpointError(
-            f"{origin}: format version {version} is newer than supported {FORMAT_VERSION}"
+            f"{origin}: format version {version} is not the supported version {FORMAT_VERSION}"
         )
     header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
     header_start = len(MAGIC) + 12
@@ -232,30 +222,52 @@ def load_checkpoint_bytes(blob: bytes, origin: str = "<bytes>") -> Checkpoint:
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{origin}: unreadable checkpoint header ({e})") from None
-    config = _config_from_jsonable(header["config"])
+    try:
+        return _from_header(header, blob, header_end)
+    except DataError as e:
+        raise CheckpointError(f"{origin}: {e}") from None
+
+
+_HEADER_TYPES = {"config": dict, "kind": str, "provenance": dict, "tensors": list,
+                 "vocab_ref": str}
+
+
+def _from_header(header, blob: bytes, data_start: int) -> Checkpoint:
+    """Read the tensors a parsed header describes; they must tile the data exactly."""
+    if not isinstance(header, dict) or set(header) - set(_HEADER_TYPES):
+        raise DataError(f"checkpoint header is not an object with keys {sorted(_HEADER_TYPES)}")
+    for key, typ in _HEADER_TYPES.items():
+        if not isinstance(header.get(key), typ):
+            raise DataError(f"checkpoint header key {key!r} is missing or not a {typ.__name__}")
+    keys, names = set(header["config"]), {f.name for f in fields(ModelConfig)}
+    if keys != names:
+        raise DataError(f"model config has unknown keys {sorted(keys - names)} "
+                        f"and lacks keys {sorted(names - keys)}")
+    config = ModelConfig(**header["config"])
     expected = expected_param_shapes(config, header["kind"])
     params = {}
-    data_start = header_end
-    total = 0
+    offset = 0
     for entry in header["tensors"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
-        if name not in expected:
-            raise CheckpointError(f"{origin}: unexpected tensor {name!r} in shape table")
-        if shape != expected[name]:
-            raise CheckpointError(
-                f"{origin}: tensor {name!r} has shape {shape}, config expects {expected[name]}"
-            )
-        size = int(np.prod(shape, dtype=np.int64)) * 8
-        if data_start + offset + size > len(blob):
-            raise CheckpointError(f"{origin}: truncated checkpoint data at tensor {name!r}")
-        arr = np.frombuffer(blob, dtype="<f8", count=size // 8,
-                            offset=data_start + offset).reshape(shape)
-        params[name] = arr.astype(np.float64).copy()
-        total += size
-    if data_start + total != len(blob):
-        raise CheckpointError(f"{origin}: checkpoint size disagrees with its shape table")
-    return Checkpoint(config, header["kind"], params, header.get("vocab_ref", ""),
-                      header["provenance"], format_version=version)
+        if not isinstance(entry, dict) or set(entry) != {"name", "shape", "offset"}:
+            raise DataError(f"malformed shape table entry {entry!r}")
+        name = entry["name"]
+        if not isinstance(name, str) or name not in expected or name in params:
+            raise DataError(f"unexpected or repeated tensor {name!r} in shape table")
+        shape = expected[name]
+        if entry["shape"] != list(shape):
+            raise DataError(f"tensor {name!r} has shape {entry['shape']}, config expects {shape}")
+        if entry["offset"] != offset:
+            raise DataError(f"tensor {name!r} is at offset {entry['offset']}, but the tensors "
+                            f"before it end at {offset}")
+        count = int(np.prod(shape))
+        if data_start + offset + 8 * count > len(blob):
+            raise DataError(f"truncated checkpoint data at tensor {name!r}")
+        params[name] = np.frombuffer(blob, dtype="<f8", count=count,
+                                     offset=data_start + offset).reshape(shape).astype(np.float64)
+        offset += 8 * count
+    if data_start + offset != len(blob):
+        raise DataError("checkpoint size disagrees with its shape table")
+    return Checkpoint(config, header["kind"], params, header["vocab_ref"], header["provenance"])
 
 
 def load_checkpoint(path) -> Checkpoint:

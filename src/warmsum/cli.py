@@ -34,10 +34,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(path: str) -> ExperimentConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read config {path}: {e}") from None
-    return config_from_json(text)
+        return config_from_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, DataError) as e:
+        raise DataError(f"config {path}: {e}") from None
 
 
 def _corpus_lines(path: str, fields: str) -> list[str]:
@@ -73,10 +72,10 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _cmd_assemble(args, parser: _Parser) -> int:
+def _cmd_assemble(args) -> int:
     mode = AssemblyMode(args.mode.upper())
     if mode is not AssemblyMode.RND2RND and not args.encoder:
-        parser.error(f"--encoder is required for mode {args.mode}")
+        args.usage_error(f"--encoder is required for mode {args.mode}")
     cfg = _load_config(args.config)
     vocab = tok.load_vocab(args.vocab)
     model_cfg = cfg.model.to_model_config(vocab.size)
@@ -114,9 +113,7 @@ def _cmd_generate(args) -> int:
     bodies = Path(args.input).read_text(encoding="utf-8").splitlines()
     srcs = [frame_ids(tok.encode(body, vocab).ids, max_src) for body in bodies]
     if args.method == "greedy":
-        outs = []
-        for start in range(0, len(srcs), 32):
-            outs.extend(greedy_decode_batch(model, srcs[start:start + 32], args.max_len))
+        outs = greedy_decode_batch(model, srcs, args.max_len)
     else:
         outs = [beam_search(model, s, args.beam_size, args.max_len, args.alpha,
                             args.block_repeat_ngram) for s in srcs]
@@ -187,9 +184,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_config(args, parser: _Parser) -> int:
+def _cmd_config(args) -> int:
     if not args.print_defaults:
-        parser.error("nothing to do; use --print-defaults")
+        args.usage_error("nothing to do; use --print-defaults")
     sys.stdout.write(config_to_json(ExperimentConfig()))
     return 0
 
@@ -199,14 +196,20 @@ def build_parser() -> _Parser:
                      description="Desk-scale warm-started summarization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tokenizer-train", help="train a BPE vocabulary from a JSONL corpus")
+    def command(name: str, handler, summary: str) -> _Parser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, usage_error=p.error)
+        return p
+
+    p = command("tokenizer-train", _cmd_tokenizer_train,
+                "train a BPE vocabulary from a JSONL corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab-size", type=int, required=True)
     p.add_argument("--pretokenize", choices=tok.MODES, default="whitespace")
     p.add_argument("--fields", default="body,abstract")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("pretrain", help="MLM-pretrain an encoder")
+    p = command("pretrain", _cmd_pretrain, "MLM-pretrain an encoder")
     p.add_argument("--config", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
@@ -214,7 +217,7 @@ def build_parser() -> _Parser:
     p.add_argument("--log")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("assemble", help="build a seq2seq checkpoint from an encoder")
+    p = command("assemble", _cmd_assemble, "build a seq2seq checkpoint from an encoder")
     p.add_argument("--config", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--mode", required=True,
@@ -224,7 +227,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("finetune", help="teacher-forced fine-tuning on (body, abstract) pairs")
+    p = command("finetune", _cmd_finetune,
+                "teacher-forced fine-tuning on (body, abstract) pairs")
     p.add_argument("--config", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--train", required=True)
@@ -234,7 +238,7 @@ def build_parser() -> _Parser:
     p.add_argument("--log")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("generate", help="summarize bodies from a file, one per line")
+    p = command("generate", _cmd_generate, "summarize bodies from a file, one per line")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
@@ -246,7 +250,7 @@ def build_parser() -> _Parser:
     p.add_argument("--block-repeat-ngram", type=int, default=0)
     p.add_argument("--max-src-len", type=int)
 
-    p = sub.add_parser("evaluate", help="ROUGE between aligned candidate/reference files")
+    p = command("evaluate", _cmd_evaluate, "ROUGE between aligned candidate/reference files")
     p.add_argument("--candidates", required=True)
     p.add_argument("--references", required=True)
     p.add_argument("--tokenization", choices=["whitespace_words", "subword_ids"],
@@ -255,20 +259,20 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab")
     p.add_argument("--csv")
 
-    p = sub.add_parser("stats", help="split a corpus and print its statistics table")
+    p = command("stats", _cmd_stats, "split a corpus and print its statistics table")
     p.add_argument("--corpus", required=True)
     p.add_argument("--ratios", default="0.8,0.1,0.1")
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--name")
     p.add_argument("--csv")
 
-    p = sub.add_parser("run", help="run the full comparison experiment from a config")
+    p = command("run", _cmd_run, "run the full comparison experiment from a config")
     p.add_argument("--config", required=True)
 
-    p = sub.add_parser("report", help="render the results table from persisted artifacts")
+    p = command("report", _cmd_report, "render the results table from persisted artifacts")
     p.add_argument("--dir", required=True)
 
-    p = sub.add_parser("config", help="configuration helpers")
+    p = command("config", _cmd_config, "configuration helpers")
     p.add_argument("--print-defaults", action="store_true")
 
     return parser
@@ -278,27 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "tokenizer-train":
-            return _cmd_tokenizer_train(args)
-        if args.command == "pretrain":
-            return _cmd_pretrain(args)
-        if args.command == "assemble":
-            return _cmd_assemble(args, parser)
-        if args.command == "finetune":
-            return _cmd_finetune(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "config":
-            return _cmd_config(args, parser)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 1

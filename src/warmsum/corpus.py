@@ -16,18 +16,9 @@ import unicodedata
 from dataclasses import dataclass
 
 from .errors import DataError
+from .fileio import write_atomic
 
 _MASK64 = (1 << 64) - 1
-
-# Optional Vietnamese news-style filter: drop examples whose body mentions
-# these (questionnaire / opinion column / weather forecast markers). Off by
-# default; callers opt in via filter_examples.
-DEFAULT_BLACKLIST = (
-    "hỏi đáp",
-    "trắc nghiệm",
-    "bình luận",
-    "dự báo thời tiết",
-)
 
 
 @dataclass(frozen=True)
@@ -94,6 +85,9 @@ def load_jsonl(path) -> list[CorpusExample]:
         for key in ("id", "body", "abstract"):
             if key not in obj:
                 raise DataError(f"{path}:{lineno}: missing key {key!r}")
+        for key in ("body", "abstract"):
+            if not isinstance(obj[key], str):
+                raise DataError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
         ex = CorpusExample(str(obj["id"]), _norm(obj["body"]), _norm(obj["abstract"]))
         if not ex.body.strip() or not ex.abstract.strip():
             raise DataError(f"{path}:{lineno}: empty body or abstract after normalization")
@@ -105,17 +99,9 @@ def load_jsonl(path) -> list[CorpusExample]:
 
 
 def save_jsonl(examples: list[CorpusExample], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(json.dumps({"id": ex.id, "body": ex.body, "abstract": ex.abstract},
-                               ensure_ascii=False) + "\n")
-
-
-def filter_examples(examples: list[CorpusExample],
-                    blacklist: tuple[str, ...] = DEFAULT_BLACKLIST) -> list[CorpusExample]:
-    """Drop examples whose body contains any blacklisted phrase (case-insensitive)."""
-    low = [b.lower() for b in blacklist]
-    return [ex for ex in examples if not any(b in ex.body.lower() for b in low)]
+    write_atomic(path, "".join(
+        json.dumps({"id": ex.id, "body": ex.body, "abstract": ex.abstract},
+                   ensure_ascii=False) + "\n" for ex in examples))
 
 
 def split(examples: list[CorpusExample], ratios: tuple[float, float, float],

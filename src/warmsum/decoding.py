@@ -20,6 +20,7 @@ from .model import EncoderDecoderModel, pad_mask_from_ids
 from .tokenizer import BOS, EOS, PAD
 
 BANNED_GENERATION_IDS = (PAD, BOS)
+GREEDY_CHUNK = 32  # sources decoded together by greedy_decode_batch
 
 
 @dataclass
@@ -61,9 +62,17 @@ def _log_softmax(rows: np.ndarray) -> np.ndarray:
 
 def greedy_decode_batch(model: EncoderDecoderModel, srcs: list[list[int]],
                         max_len: int) -> list[np.ndarray]:
-    """Argmax decoding of a batch; ties pick the lowest token id."""
+    """Argmax decoding, GREEDY_CHUNK sources at a time; ties pick the lowest token id."""
     _check_max_len(model, max_len)
     model.eval()
+    outs = []
+    for start in range(0, len(srcs), GREEDY_CHUNK):
+        outs.extend(_greedy_chunk(model, srcs[start:start + GREEDY_CHUNK], max_len))
+    return outs
+
+
+def _greedy_chunk(model: EncoderDecoderModel, srcs: list[list[int]],
+                  max_len: int) -> list[np.ndarray]:
     src = np.full((len(srcs), max(len(s) for s in srcs)), PAD, dtype=np.int64)
     for i, s in enumerate(srcs):
         src[i, :len(s)] = s
@@ -82,11 +91,7 @@ def greedy_decode_batch(model: EncoderDecoderModel, srcs: list[list[int]],
         done |= nxt == EOS
         if done.all():
             break
-    outs = []
-    for row in prefixes:
-        row = row[row != PAD]
-        outs.append(row.copy())
-    return outs
+    return [row[row != PAD] for row in prefixes]
 
 
 def greedy_decode(model: EncoderDecoderModel, src: list[int], max_len: int) -> np.ndarray:

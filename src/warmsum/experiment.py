@@ -22,10 +22,11 @@ from . import tokenizer as tok
 from .assembly import (AssemblyMode, assemble, load_checkpoint, save_checkpoint)
 from .decoding import beam_search, greedy_decode_batch
 from .errors import DataError
-from .model import ModelConfig
+from .fileio import write_atomic
+from .model import EncoderDecoderModel, ModelConfig
 from .rouge import EvalTokenization, corpus_rouge
 from .synthetic import SyntheticSettings, generate_corpus
-from .training import MetricsLog, TrainConfig, encode_pairs, finetune, pretrain_mlm
+from .training import MetricsLog, TrainConfig, finetune, frame_ids, pretrain_mlm
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ class ModelSettings:
     n_dec_layers: int = 2
     max_positions: int = 64
     dropout: float = 0.0
-    use_segment_embeddings: bool = False
-    tie_decoder_embeddings: bool = True
-    activation: str = "gelu"
+
+    def __post_init__(self):
+        self.to_model_config(vocab_size=1)  # checks every field; the vocabulary comes later
 
     def to_model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(vocab_size=vocab_size, **dataclasses.asdict(self))
@@ -95,10 +96,26 @@ class ExperimentConfig:
     output_dir: str = "runs/experiment"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise DataError("ExperimentConfig.seeds must be nonempty")
+        if not self.seeds or not all(type(s) is int for s in self.seeds):
+            raise DataError(f"seeds must be a nonempty list of integers, got {self.seeds!r}")
+        if not isinstance(self.output_dir, str):
+            raise DataError(f"output_dir must be a string, got {self.output_dir!r}")
+        limit = self.dev_eval_limit
+        if limit is not None and (type(limit) is not int or limit < 1):
+            raise DataError(f"dev_eval_limit must be a positive integer or null, got {limit!r}")
+        modes = [m.value for m in AssemblyMode]
         for m in self.modes:
-            AssemblyMode(m)
+            if m not in modes:
+                raise DataError(f"unknown assembly mode {m!r}; expected one of {modes}")
+        # the decoder reads BOS plus up to max_len generated tokens, and dev
+        # evaluation greedy-decodes max_tgt_len tokens
+        positions = self.model.max_positions
+        for name, need in (("pretrain.max_src_len", self.pretrain.max_src_len),
+                           ("finetune.max_src_len", self.finetune.max_src_len),
+                           ("finetune.max_tgt_len + 1", self.finetune.max_tgt_len + 1),
+                           ("decoding.max_len + 1", self.decoding.max_len + 1)):
+            if need > positions:
+                raise DataError(f"{name} is {need}, more than model.max_positions {positions}")
 
 
 # -- config (de)serialization: one JSON document ----------------------------
@@ -122,22 +139,29 @@ def config_to_json(cfg: ExperimentConfig) -> str:
 def _build_section(cls, obj, where: str):
     if obj is None:
         return None
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(obj) - set(fields)
+    if not isinstance(obj, dict):
+        raise DataError(f"config section {where} must be a JSON object")
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(obj) - names
     if unknown:
         raise DataError(f"unknown keys in config section {where}: {sorted(unknown)}")
-    kwargs = dict(obj)
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
     if cls is CorpusSettings and "synthetic" in kwargs:
-        kwargs["synthetic"] = _build_section(SyntheticSettings, kwargs["synthetic"],
+        kwargs["synthetic"] = _build_section(SyntheticSettings, obj["synthetic"],
                                              where + ".synthetic")
-    for name, f in fields.items():
-        if name in kwargs and isinstance(kwargs[name], list):
-            kwargs[name] = tuple(kwargs[name])
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (DataError, TypeError) as e:  # a value of the wrong type fails its check
+        raise DataError(f"config section {where}: {e}") from None
 
 
 def config_from_json(text: str) -> ExperimentConfig:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise DataError(f"config is not valid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise DataError("config must be a JSON object")
     scalars = ("output_dir", "dev_eval_limit")
     unknown = set(obj) - set(_SECTIONS) - {"modes", "seeds", *scalars}
     if unknown:
@@ -148,6 +172,8 @@ def config_from_json(text: str) -> ExperimentConfig:
             kwargs[key] = _build_section(cls, obj[key], key)
     for key in ("modes", "seeds"):
         if key in obj:
+            if not isinstance(obj[key], list):
+                raise DataError(f"config key {key!r} must be a list, got {obj[key]!r}")
             kwargs[key] = tuple(obj[key])
     for key in scalars:
         if key in obj:
@@ -256,16 +282,12 @@ def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
 
 
 def _decode_test(cfg: ExperimentConfig, model_ckpt, test_split, vocab: tok.Vocabulary):
-    from .model import EncoderDecoderModel
-
     model = EncoderDecoderModel.from_checkpoint(model_ckpt).eval()
-    pairs = encode_pairs(test_split, vocab, cfg.finetune)
-    srcs = [p[0] for p in pairs]
+    srcs = [frame_ids(tok.encode(ex.body, vocab).ids, cfg.finetune.max_src_len)
+            for ex in test_split]
     dec = cfg.decoding
     if dec.method == "greedy":
-        outs = []
-        for start in range(0, len(srcs), 32):
-            outs.extend(greedy_decode_batch(model, srcs[start:start + 32], dec.max_len))
+        outs = greedy_decode_batch(model, srcs, dec.max_len)
     else:
         outs = [beam_search(model, s, dec.beam_size, dec.max_len,
                             dec.length_penalty_alpha) for s in srcs]
@@ -293,7 +315,7 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
 
     decoded = _decode_test(cfg, best, splits["test"], vocab)
     decodes_path = cell / "test_decodes.txt"
-    decodes_path.write_text("\n".join(decoded) + "\n", encoding="utf-8")
+    write_atomic(decodes_path, "\n".join(decoded) + "\n")
 
     scores = corpus_rouge(list(zip(decoded, [ex.abstract for ex in splits["test"]])),
                           cfg.eval_tokenization)
@@ -305,8 +327,7 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
     }
     for key, sc in scores.items():
         record[key] = {"precision": sc.precision, "recall": sc.recall, "f1": sc.f1}
-    scores_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    write_atomic(scores_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
     return CellResult(mode, seed, scores["rouge1"].f1 * 100,
                       scores["rouge2"].f1 * 100, scores["rougeL"].f1 * 100)
 
@@ -320,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
         if cfg_path.read_text(encoding="utf-8") != rendered:
             raise DataError(f"{cfg_path} holds a different config; refusing to mix artifacts")
     else:
-        cfg_path.write_text(rendered, encoding="utf-8")
+        write_atomic(cfg_path, rendered)
 
     splits = _prepare_splits(cfg, out)
     vocab = _prepare_vocab(cfg, out, splits["train"])
@@ -341,8 +362,8 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
                 (cell / "error.txt").write_text(traceback.format_exc(), encoding="utf-8")
                 table.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
 
-    (out / "results.txt").write_text(table.render_text(), encoding="utf-8")
-    (out / "results.csv").write_text(table.to_csv(), encoding="utf-8")
+    write_atomic(out / "results.txt", table.render_text())
+    write_atomic(out / "results.csv", table.to_csv())
     return table
 
 

@@ -3,8 +3,8 @@
 Post-norm residual blocks, learned absolute position embeddings, additive
 -1e9 attention masking, attention scaled by 1/sqrt(d_model / n_heads).
 The decoder runs causal self-attention plus cross-attention over the
-encoder memory; its output projection can be tied to its token embedding
-(one tensor, two uses), in which case logits are exactly hidden @ E^T.
+encoder memory; its output projection is tied to its token embedding (one
+tensor, two uses), so logits are exactly hidden @ E^T.
 
 Parameters live in a flat dict keyed by canonical dotted names, e.g.
 ``encoder.layer.0.self_attn.q.weight``; each attention or feed-forward
@@ -37,17 +37,19 @@ class ModelConfig:
     n_dec_layers: int = 2
     max_positions: int = 128
     dropout: float = 0.1
-    use_segment_embeddings: bool = False
-    tie_decoder_embeddings: bool = True
-    activation: str = "gelu"  # "relu" for the random-baseline sensitivity check
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_heads", "d_ff", "n_enc_layers",
+                     "n_dec_layers", "max_positions"):
+            value = getattr(self, name)
+            least = 0 if name.endswith("_layers") else 1
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise DataError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise DataError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.activation not in ("gelu", "relu"):
-            raise DataError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise DataError(f"dropout must be in [0, 1), got {self.dropout}")
+        if isinstance(self.dropout, bool) or not isinstance(self.dropout, (int, float)) \
+                or not 0.0 <= self.dropout < 1.0:
+            raise DataError(f"dropout must be a number in [0, 1), got {self.dropout!r}")
 
     @property
     def head_dim(self) -> int:
@@ -75,36 +77,31 @@ def _ff_shapes(prefix: str, d: int, f: int) -> dict[str, tuple[int, ...]]:
     }
 
 
-def _embed_shapes(prefix: str, cfg: ModelConfig, with_segment: bool) -> dict[str, tuple[int, ...]]:
-    shapes = {
+def _embed_shapes(prefix: str, cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    return {
         f"{prefix}.embed.token": (cfg.vocab_size, cfg.d_model),
         f"{prefix}.embed.position": (cfg.max_positions, cfg.d_model),
         f"{prefix}.embed.norm.gain": (cfg.d_model,),
         f"{prefix}.embed.norm.bias": (cfg.d_model,),
     }
-    if with_segment:
-        shapes[f"{prefix}.embed.segment"] = (2, cfg.d_model)
-    return shapes
 
 
 def expected_param_shapes(cfg: ModelConfig, kind: str) -> dict[str, tuple[int, ...]]:
     """The exact name -> shape table a checkpoint of `kind` must carry."""
     if kind not in KINDS:
         raise DataError(f"unknown checkpoint kind {kind!r}")
-    shapes = _embed_shapes("encoder", cfg, cfg.use_segment_embeddings)
+    shapes = _embed_shapes("encoder", cfg)
     for i in range(cfg.n_enc_layers):
         shapes.update(_attn_shapes(f"encoder.layer.{i}.self_attn", cfg.d_model))
         shapes.update(_ff_shapes(f"encoder.layer.{i}.ff", cfg.d_model, cfg.d_ff))
     if kind == "encoder_mlm":
         shapes["mlm.bias"] = (cfg.vocab_size,)
         return shapes
-    shapes.update(_embed_shapes("decoder", cfg, with_segment=False))
+    shapes.update(_embed_shapes("decoder", cfg))
     for i in range(cfg.n_dec_layers):
         shapes.update(_attn_shapes(f"decoder.layer.{i}.self_attn", cfg.d_model))
         shapes.update(_attn_shapes(f"decoder.layer.{i}.cross_attn", cfg.d_model))
         shapes.update(_ff_shapes(f"decoder.layer.{i}.ff", cfg.d_model, cfg.d_ff))
-    if not cfg.tie_decoder_embeddings:
-        shapes["decoder.output_proj.weight"] = (cfg.vocab_size, cfg.d_model)
     return shapes
 
 
@@ -175,8 +172,7 @@ class _Forward:
         return self.linear(f"{prefix}.o", ctx)
 
     def feed_forward(self, prefix: str, x: T.Tensor) -> T.Tensor:
-        act = T.gelu if self.cfg.activation == "gelu" else T.relu
-        return self.linear(f"{prefix}.out", act(self.linear(f"{prefix}.in", x)))
+        return self.linear(f"{prefix}.out", T.gelu(self.linear(f"{prefix}.in", x)))
 
     def sublayer(self, prefix: str, x: T.Tensor, out: T.Tensor) -> T.Tensor:
         return self.norm(f"{prefix}.norm", T.add(x, self.drop(out)))
@@ -188,11 +184,7 @@ class _Forward:
         x = T.embedding_lookup(self.p[f"{prefix}.embed.token"], ids)
         pos = T.embedding_lookup(self.p[f"{prefix}.embed.position"],
                                  np.broadcast_to(np.arange(l), (b, l)))
-        x = T.add(x, pos)
-        seg_name = f"{prefix}.embed.segment"
-        if seg_name in self.p:
-            x = T.add(x, T.embedding_lookup(self.p[seg_name], np.zeros((b, l), dtype=np.int64)))
-        return self.drop(self.norm(f"{prefix}.embed.norm", x))
+        return self.drop(self.norm(f"{prefix}.embed.norm", T.add(x, pos)))
 
     def encoder_stack(self, src_ids: np.ndarray, src_real: np.ndarray) -> T.Tensor:
         mask = _key_mask(src_real)
@@ -219,36 +211,39 @@ class _Forward:
         return x
 
 
-class EncoderDecoderModel:
+class _Model:
+    """A parameter dict of one checkpoint kind, run in train or eval mode."""
+
+    kind = ""
+
     def __init__(self, config: ModelConfig, params: dict[str, T.Tensor]):
-        validate_params(params, config, "encoder_decoder")
+        validate_params(params, config, self.kind)
         self.config = config
         self.params = params
         self._rng: np.random.Generator | None = None
 
     @classmethod
-    def from_checkpoint(cls, ckpt) -> "EncoderDecoderModel":
-        if ckpt.kind != "encoder_decoder":
-            raise DataError(f"expected an encoder_decoder checkpoint, got {ckpt.kind!r}")
+    def from_checkpoint(cls, ckpt):
+        if ckpt.kind != cls.kind:
+            raise DataError(f"expected an {cls.kind} checkpoint, got {ckpt.kind!r}")
         params = {name: T.parameter(arr.copy(), name) for name, arr in ckpt.params.items()}
         return cls(ckpt.config, params)
 
-    def train(self, rng: np.random.Generator) -> "EncoderDecoderModel":
+    def train(self, rng: np.random.Generator):
         self._rng = rng
         return self
 
-    def eval(self) -> "EncoderDecoderModel":
+    def eval(self):
         self._rng = None
         return self
 
-    def parameters(self) -> dict[str, T.Tensor]:
-        return self.params
+
+class EncoderDecoderModel(_Model):
+    kind = "encoder_decoder"
 
     @property
     def output_matrix(self) -> T.Tensor:
-        if self.config.tie_decoder_embeddings:
-            return self.params["decoder.embed.token"]
-        return self.params["decoder.output_proj.weight"]
+        return self.params["decoder.embed.token"]
 
     def encode(self, src_ids: np.ndarray, src_pad_mask: np.ndarray | None = None) -> T.Tensor:
         src_ids = np.asarray(src_ids, dtype=np.int64)
@@ -286,7 +281,7 @@ def _check_target_framing(tgt_ids: np.ndarray) -> None:
             raise DataError("target rows must start with BOS and end with EOS before padding")
 
 
-class EncoderMlm:
+class EncoderMlm(_Model):
     """Encoder stack with a tied masked-token prediction head.
 
     The head is hidden @ token_embedding^T plus a per-vocabulary bias. The
@@ -295,22 +290,7 @@ class EncoderMlm:
     at assembly.
     """
 
-    def __init__(self, config: ModelConfig, params: dict[str, T.Tensor]):
-        validate_params(params, config, "encoder_mlm")
-        self.config = config
-        self.params = params
-        self._rng: np.random.Generator | None = None
-
-    def train(self, rng: np.random.Generator) -> "EncoderMlm":
-        self._rng = rng
-        return self
-
-    def eval(self) -> "EncoderMlm":
-        self._rng = None
-        return self
-
-    def parameters(self) -> dict[str, T.Tensor]:
-        return self.params
+    kind = "encoder_mlm"
 
     def logits(self, ids: np.ndarray, pad_mask: np.ndarray | None = None) -> T.Tensor:
         ids = np.asarray(ids, dtype=np.int64)

@@ -30,20 +30,13 @@ def set_debug_checks(enabled: bool) -> None:
     _DEBUG_CHECKS = bool(enabled)
 
 
-def debug_checks_enabled() -> bool:
-    return _DEBUG_CHECKS
-
-
 class Tensor:
     """A dense float64 array plus an optional gradient buffer."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_needs_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
-        arr = np.asarray(data, dtype=np.float64, order="C")
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self.name = name
@@ -107,14 +100,6 @@ class Tape:
         out._tape = self
         self._nodes.append((out, inputs, backward_fn))
 
-    def reset(self) -> None:
-        """Clear grads touched by this tape and allow backward to run again."""
-        for out, inputs, _ in self._nodes:
-            out.grad = None
-            for t in inputs:
-                t.grad = None
-        self.replayed = False
-
 
 def backward(loss: Tensor) -> None:
     """Populate grads of every needs-grad ancestor of a scalar loss."""
@@ -124,7 +109,7 @@ def backward(loss: Tensor) -> None:
     if tape is None:
         raise RuntimeError("loss was not recorded on an active tape")
     if tape.replayed:
-        raise RuntimeError("tape already replayed; call Tape.reset() before backward again")
+        raise RuntimeError("tape already replayed; record a new tape to run backward again")
     tape.replayed = True
     loss.grad = np.ones((), dtype=np.float64)
     for out, inputs, backward_fn in reversed(tape._nodes):
@@ -277,12 +262,6 @@ def gelu(x: Tensor) -> Tensor:
     return _make("gelu", out, (x,), bw)
 
 
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-    mask = (x.data > 0).astype(np.float64)
-    return _make("relu", out, (x,), lambda g: (g * mask,))
-
-
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Train-mode inverted dropout; p == 0 is the identity."""
     if not 0.0 <= p < 1.0:
@@ -307,33 +286,6 @@ def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
         axes = tuple(reversed(range(x.ndim)))
     inv = np.argsort(axes)
     return _make("transpose", x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise DataError("concat of zero tensors")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    cuts = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, cuts, axis=axis))
-
-    return _make("concat", out, tuple(tensors), bw)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = x.data[idx]
-
-    def bw(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        return (full,)
-
-    return _make("slice", out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +345,3 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> T
 
     return _make("cross_entropy", out, (logits,), bw)
 
-
-def global_grad_norm(tensors: list[Tensor]) -> float:
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
-    return math.sqrt(total)

@@ -17,9 +17,10 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DataError
+from .fileio import write_atomic
 
 PAD, UNK, BOS, EOS, MASK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ["<pad>", "<unk>", "<s>", "</s>", "<mask>"]
@@ -43,12 +44,6 @@ def normalize_text(text: str, mode: str = "whitespace") -> str:
 class TokenSequence:
     ids: list[int]
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.ids)
-
 
 @dataclass
 class Vocabulary:
@@ -67,9 +62,6 @@ class Vocabulary:
             self.token_to_id[tok] = i
         if self.id_to_token[:NUM_SPECIALS] != SPECIAL_TOKENS:
             raise DataError("vocabulary must start with the 5 special tokens")
-
-    def __len__(self) -> int:
-        return len(self.id_to_token)
 
     @property
     def size(self) -> int:
@@ -147,19 +139,15 @@ def _apply_merge(syms: list[str], pair: tuple[str, str], merged: str) -> list[st
     return out
 
 
-def encode(text: str, vocab: Vocabulary, add_bos_eos: bool = False) -> TokenSequence:
+def encode(text: str, vocab: Vocabulary) -> TokenSequence:
     """Greedy merge application in training order; unknown symbols become UNK."""
     ids: list[int] = []
-    if add_bos_eos:
-        ids.append(BOS)
     lookup = vocab.token_to_id
     for unit in _pretokenize(text, vocab.pretokenize_mode):
         syms = unit
         for pair in vocab.merges:
             syms = _apply_merge(syms, pair, pair[0] + pair[1])
         ids.extend(lookup.get(s, UNK) for s in syms)
-    if add_bos_eos:
-        ids.append(EOS)
     return TokenSequence(ids)
 
 
@@ -189,13 +177,15 @@ def save_vocab(vocab: Vocabulary, path) -> None:
     lines.append("#MERGES")
     lines.extend(f"{a} {b}" for a, b in vocab.merges)
     lines.append(f"#PRETOKENIZE {vocab.pretokenize_mode}")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8") as f:
-        raw = f.read().split("\n")
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = f.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8 ({e})") from None
     if raw and raw[-1] == "":
         raw.pop()
     try:
@@ -207,10 +197,13 @@ def load_vocab(path) -> Vocabulary:
     merges = []
     for line in raw[merge_at + 1:]:
         if line.startswith("#PRETOKENIZE"):
-            mode = line.split(" ", 1)[1].strip()
+            mode = line[len("#PRETOKENIZE"):].strip()
             continue
         parts = line.split(" ")
         if len(parts) != 2:
             raise DataError(f"{path}: malformed merge line {line!r}")
         merges.append((parts[0], parts[1]))
-    return Vocabulary(tokens, merges, mode)
+    try:
+        return Vocabulary(tokens, merges, mode)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None

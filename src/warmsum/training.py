@@ -232,8 +232,7 @@ def evaluate_mlm(ckpt: Checkpoint, lines: list[str], vocab: Vocabulary,
     seqs = _mlm_documents(lines, vocab, cfg)
     if not seqs:
         raise DataError("no usable lines to evaluate the MLM encoder on")
-    model = EncoderMlm(ckpt.config, {k: T.parameter(v, k) for k, v in ckpt.params.items()})
-    model.eval()
+    model = EncoderMlm.from_checkpoint(ckpt).eval()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     total, correct, count = 0.0, 0, 0
     for start in range(0, len(seqs), cfg.batch_size):
@@ -281,17 +280,13 @@ def _dev_loss(model: EncoderDecoderModel, pairs, batch_size: int) -> float:
     return total / max(1, count)
 
 
-def _dev_rouge_l(model: EncoderDecoderModel, pairs, vocab: Vocabulary,
-                 max_len: int, batch_size: int = 32) -> float:
-    model.eval()
+def _dev_rouge_l(model: EncoderDecoderModel, pairs, vocab: Vocabulary, max_len: int) -> float:
+    outs = greedy_decode_batch(model, [p[0] for p in pairs], max_len)
     scores = []
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start:start + batch_size]
-        outs = greedy_decode_batch(model, [p[0] for p in chunk], max_len)
-        for out, (_, ref_ids) in zip(outs, chunk):
-            cand = decode(list(out), vocab).split()
-            ref = decode(list(ref_ids), vocab).split()
-            scores.append(rouge_l(cand, ref).f1)
+    for out, (_, ref_ids) in zip(outs, pairs):
+        cand = decode(list(out), vocab).split()
+        ref = decode(list(ref_ids), vocab).split()
+        scores.append(rouge_l(cand, ref).f1)
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -312,7 +307,7 @@ def finetune(ckpt: Checkpoint, train_set, dev_set, vocab: Vocabulary,
         dev_pairs = dev_pairs[:eval_limit]
 
     model = EncoderDecoderModel.from_checkpoint(ckpt)
-    params = model.parameters()
+    params = model.params
     state = OptimizerState.for_params(params)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     log = log or MetricsLog()

@@ -4,11 +4,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import DATA_DIR
 from warmsum.assembly import (MAGIC, AssemblyMode, Checkpoint, assemble,
                               checkpoint_hash, fresh_params, load_checkpoint,
                               load_checkpoint_bytes, save_checkpoint,
                               save_checkpoint_bytes, structural_diff, warm_copy_map)
+from warmsum.cli import main
 from warmsum.errors import CheckpointError, DataError
 from warmsum.model import EncoderDecoderModel, ModelConfig
 from warmsum.tokenizer import BOS, EOS, PAD
@@ -189,3 +193,80 @@ def test_extra_tensor_in_table_rejected(encoder_ckpt):
     params["rogue.weight"] = np.zeros((2, 2))
     with pytest.raises(DataError, match="extra"):
         Checkpoint(CFG, "encoder_mlm", params, provenance={"mode": "TRAINED"})
+
+
+# -- malformed headers ----------------------------------------------------------
+
+SMALL = ModelConfig(vocab_size=8, d_model=2, n_heads=1, d_ff=2, n_enc_layers=1,
+                    n_dec_layers=1, max_positions=4, dropout=0.0)
+SMALL_BLOB = save_checkpoint_bytes(assemble(None, AssemblyMode.RND2RND, SMALL, seed=0))
+
+
+def _with_header(blob: bytes, edit) -> bytes:
+    """The blob with its JSON header passed through edit(header)."""
+    header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
+    start = len(MAGIC) + 12
+    header = json.loads(blob[start:start + header_len].decode("utf-8"))
+    edit(header)
+    patched = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return (blob[:len(MAGIC) + 4] + struct.pack("<Q", len(patched)) + patched
+            + blob[start + header_len:])
+
+
+def test_negative_tensor_offset_rejected():
+    def edit(header):
+        header["tensors"][0]["offset"] = -16
+
+    with pytest.raises(CheckpointError, match="offset -16"):
+        load_checkpoint_bytes(_with_header(SMALL_BLOB, edit))
+
+
+def test_tensors_sharing_bytes_rejected():
+    def edit(header):
+        header["tensors"][0]["offset"] = header["tensors"][1]["offset"]
+
+    with pytest.raises(CheckpointError, match="offset"):
+        load_checkpoint_bytes(_with_header(SMALL_BLOB, edit))
+
+
+def test_header_without_kind_rejected():
+    with pytest.raises(CheckpointError, match="'kind' is missing"):
+        load_checkpoint_bytes(_with_header(SMALL_BLOB, lambda h: h.pop("kind")))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.update(n_layerz=2), "unknown keys \\['n_layerz'\\]"),
+    (lambda c: c.pop("d_ff"), "lacks keys \\['d_ff'\\]"),
+    (lambda c: c.update(d_model="2"), "d_model must be an integer"),
+    (lambda c: c.update(dropout=None), "dropout must be a number"),
+])
+def test_bad_config_keys_rejected(edit, message):
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint_bytes(_with_header(SMALL_BLOB, lambda h: edit(h["config"])))
+
+
+def test_checkpoint_with_retired_config_keys_is_refused():
+    # written by an earlier version whose model config had three more options
+    path = DATA_DIR / "retired_config_keys.ckpt"
+    with pytest.raises(CheckpointError, match="unknown keys"):
+        load_checkpoint(path)
+    assert main(["generate", "--ckpt", str(path), "--vocab", "v.txt", "--input", "in.txt",
+                 "--out", "out.txt"]) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_or_truncated_blob_loads_or_raises_data_error(data):
+    blob = bytearray(SMALL_BLOB)
+    header_end = len(MAGIC) + 12 + struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        # half the mutations land in the magic, version, length or header
+        positions = st.one_of(st.integers(0, header_end - 1), st.integers(0, len(blob) - 1))
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(positions)] = data.draw(st.integers(0, 255))
+    try:
+        load_checkpoint_bytes(bytes(blob))
+    except DataError:
+        pass

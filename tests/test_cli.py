@@ -158,3 +158,50 @@ def test_cli_run_and_report(tmp_path):
     assert code == 0, err
     assert report_out == run_out
     assert (out / "results.txt").read_text(encoding="utf-8") == report_out
+
+
+# -- malformed inputs are data errors (exit 2), not tracebacks ---------------------
+
+
+def test_corpus_with_numeric_body_exits_2(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "body": 5, "abstract": "x"}\n', encoding="utf-8")
+    assert main(["stats", "--corpus", str(path)]) == 2
+    assert f"{path}:1: body must be a string" in capsys.readouterr().err
+
+
+def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
+    from warmsum.tokenizer import save_vocab, train_bpe
+
+    vocab = tmp_path / "vocab.txt"
+    save_vocab(train_bpe(["ba ke mi"], 20), vocab)
+    lines = vocab.read_text(encoding="utf-8").splitlines()
+    vocab.write_text("\n".join(lines[:-1] + ["#PRETOKENIZE"]) + "\n", encoding="utf-8")
+    text = tmp_path / "a.txt"
+    text.write_text("ba ke\n", encoding="utf-8")
+    assert main(["evaluate", "--candidates", str(text), "--references", str(text),
+                 "--vocab", str(vocab)]) == 2
+    assert f"{vocab}: unknown pretokenize mode ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not valid JSON"),
+    ('{"seeds": 5}', "'seeds' must be a list"),
+    ('{"dev_eval_limit": "5", "output_dir": "OUT"}', "dev_eval_limit must be a positive integer"),
+    ('{"output_dir": 5}', "output_dir must be a string"),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace("OUT", str(tmp_path / "runs")), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and message in err
+
+
+def test_bad_model_settings_exit_2_before_any_artifact(tmp_path, capsys):
+    out = tmp_path / "runs"
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"model": {{"n_heads": 0}}, "output_dir": "{out}"}}', encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "n_heads must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()

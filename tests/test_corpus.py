@@ -6,8 +6,7 @@ import pytest
 
 from conftest import DATA_DIR
 from warmsum.corpus import (CorpusExample, CorpusStats, XorShift64Star, compute_stats,
-                            filter_examples, load_jsonl, render_stats_table, save_jsonl,
-                            split, stats_csv)
+                            load_jsonl, render_stats_table, save_jsonl, split, stats_csv)
 from warmsum.errors import DataError
 
 
@@ -162,13 +161,3 @@ def test_stats_csv_format():
         "dataset,n_train,n_dev,n_test,avg_body_words,avg_abstract_words\n"
         "toy,6,2,2,5.000000,1.500000\n"
     )
-
-
-def test_filter_examples_blacklist():
-    examples = [
-        CorpusExample("a", "Bản tin dự báo thời tiết hôm nay", "x"),
-        CorpusExample("b", "Trận đấu kết thúc với tỉ số hòa", "y"),
-    ]
-    kept = filter_examples(examples)
-    assert [e.id for e in kept] == ["b"]
-    assert filter_examples(examples, blacklist=()) == examples

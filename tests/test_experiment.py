@@ -137,3 +137,17 @@ def test_run_experiment_rejects_conflicting_config(tmp_path):
     cfg = tiny_config(out)
     with pytest.raises(DataError, match="different config"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("section, change, name", [
+    ("pretrain", {"max_src_len": 65}, "pretrain.max_src_len"),
+    ("finetune", {"max_src_len": 65}, "finetune.max_src_len"),
+    ("finetune", {"max_tgt_len": 64}, "finetune.max_tgt_len \\+ 1"),
+    ("decoding", {"max_len": 64}, "decoding.max_len \\+ 1"),
+])
+def test_windows_must_fit_the_positions(section, change, name):
+    cfg = ExperimentConfig()
+    assert cfg.model.max_positions == 64
+    with pytest.raises(DataError, match=f"{name} is 65, more than model.max_positions 64"):
+        dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section),
+                                                                 **change)})

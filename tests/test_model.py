@@ -31,16 +31,15 @@ def random_batch(rng, config, batch=2, src_len=7, tgt_len=5):
 def test_config_validation():
     with pytest.raises(DataError):
         ModelConfig(vocab_size=10, d_model=10, n_heads=3)
-    with pytest.raises(DataError):
-        ModelConfig(vocab_size=10, activation="tanh")
+    with pytest.raises(DataError, match="n_heads"):
+        ModelConfig(vocab_size=10, n_heads=0)
+    with pytest.raises(DataError, match="d_model"):
+        ModelConfig(vocab_size=10, d_model=64.0)
 
 
 def test_expected_shapes_tied_vs_untied():
     tied = expected_param_shapes(TINY, "encoder_decoder")
-    assert "decoder.output_proj.weight" not in tied
-    untied_cfg = ModelConfig(**{**TINY.__dict__, "tie_decoder_embeddings": False})
-    untied = expected_param_shapes(untied_cfg, "encoder_decoder")
-    assert untied["decoder.output_proj.weight"] == (20, 8)
+    assert not any(n.startswith("decoder.output") for n in tied)  # logits reuse the embedding
     mlm = expected_param_shapes(TINY, "encoder_mlm")
     assert mlm["mlm.bias"] == (20,)
     assert not any(n.startswith("decoder.") for n in mlm)
@@ -122,14 +121,6 @@ def test_tied_logits_are_hidden_times_embedding_transpose():
     manual = hidden.data @ model.params["decoder.embed.token"].data.T
     assert np.array_equal(logits.data, manual)
     assert model.output_matrix is model.params["decoder.embed.token"]
-
-
-def test_untied_model_has_separate_projection():
-    cfg = ModelConfig(**{**TINY.__dict__, "tie_decoder_embeddings": False})
-    model = tiny_model(config=cfg)
-    assert model.output_matrix is model.params["decoder.output_proj.weight"]
-    assert not np.array_equal(model.output_matrix.data,
-                              model.params["decoder.embed.token"].data)
 
 
 def test_random_model_logits_finite():

@@ -7,6 +7,7 @@ from conftest import DATA_DIR
 from warmsum import tokenizer as tok
 from warmsum.corpus import load_jsonl
 from warmsum.errors import DataError
+from warmsum.training import frame_ids
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +67,9 @@ def test_unknown_symbol_becomes_unk():
 
 
 def test_encode_bos_eos_framing(mini_vocab):
-    seq = tok.encode("cà phê", mini_vocab, add_bos_eos=True)
-    assert seq.ids[0] == tok.BOS and seq.ids[-1] == tok.EOS
-    assert tok.decode(seq, mini_vocab) == "cà phê"
+    ids = frame_ids(tok.encode("cà phê", mini_vocab).ids, 64)
+    assert ids[0] == tok.BOS and ids[-1] == tok.EOS
+    assert tok.decode(ids, mini_vocab) == "cà phê"
 
 
 def test_all_ids_in_range(mini_lines, mini_vocab):
