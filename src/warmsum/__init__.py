@@ -4,7 +4,7 @@ from .assembly import AssemblyMode, Checkpoint, assemble, load_checkpoint, save_
 from .corpus import CorpusExample, compute_stats, load_jsonl, split
 from .decoding import beam_search, greedy_decode
 from .model import EncoderDecoderModel, ModelConfig
-from .rouge import EvalTokenization, RougeScore, corpus_rouge, rouge_l, rouge_n
+from .rouge import RougeScore, corpus_rouge, rouge_l, rouge_n
 from .tokenizer import Vocabulary, decode, encode, train_bpe
 from .training import TrainConfig, finetune, pretrain_mlm
 
@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssemblyMode", "Checkpoint", "CorpusExample", "EncoderDecoderModel",
-    "EvalTokenization", "ModelConfig", "RougeScore", "TrainConfig", "Vocabulary",
+    "ModelConfig", "RougeScore", "TrainConfig", "Vocabulary",
     "assemble", "beam_search", "compute_stats", "corpus_rouge", "decode", "encode",
     "finetune", "greedy_decode", "load_checkpoint", "load_jsonl", "pretrain_mlm",
     "rouge_l", "rouge_n", "save_checkpoint", "split", "train_bpe",

@@ -16,10 +16,10 @@ from . import tokenizer as tok
 from .assembly import AssemblyMode, assemble, load_checkpoint, save_checkpoint
 from .decoding import beam_search, greedy_decode_batch
 from .errors import DataError, NumericError
-from .experiment import (ExperimentConfig, config_from_json, config_to_json,
-                         load_results, run_experiment)
+from .experiment import (ExperimentConfig, config_to_json, load_config, load_results,
+                         run_experiment)
 from .model import EncoderDecoderModel
-from .rouge import EvalTokenization, corpus_rouge, rouge_l, rouge_n, tokenize_for_eval
+from .rouge import corpus_rouge, pair_rouge
 from .training import MetricsLog, finetune, frame_ids, pretrain_mlm
 
 
@@ -30,13 +30,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.format_usage()}{self.prog}: {message}")
-
-
-def _load_config(path: str) -> ExperimentConfig:
-    try:
-        return config_from_json(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, DataError) as e:
-        raise DataError(f"config {path}: {e}") from None
 
 
 def _corpus_lines(path: str, fields: str) -> list[str]:
@@ -51,8 +44,7 @@ def _corpus_lines(path: str, fields: str) -> list[str]:
 
 
 def _cmd_tokenizer_train(args) -> int:
-    vocab = tok.train_bpe(_corpus_lines(args.corpus, args.fields),
-                          args.vocab_size, args.pretokenize)
+    vocab = tok.train_bpe(_corpus_lines(args.corpus, args.fields), args.vocab_size)
     tok.save_vocab(vocab, args.out)
     print(f"trained vocabulary of {vocab.size} tokens "
           f"({len(vocab.merges)} merges) -> {args.out}")
@@ -60,7 +52,7 @@ def _cmd_tokenizer_train(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     vocab = tok.load_vocab(args.vocab)
     model_cfg = cfg.model.to_model_config(vocab.size)
     log = MetricsLog(args.log) if args.log else None
@@ -76,7 +68,7 @@ def _cmd_assemble(args) -> int:
     mode = AssemblyMode(args.mode.upper())
     if mode is not AssemblyMode.RND2RND and not args.encoder:
         args.usage_error(f"--encoder is required for mode {args.mode}")
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     vocab = tok.load_vocab(args.vocab)
     model_cfg = cfg.model.to_model_config(vocab.size)
     source = load_checkpoint(args.encoder) if args.encoder else None
@@ -89,7 +81,7 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     ft_cfg = cfg.finetune if args.seed is None else dataclasses.replace(cfg.finetune,
                                                                         seed=args.seed)
     vocab = tok.load_vocab(args.vocab)
@@ -110,13 +102,12 @@ def _cmd_generate(args) -> int:
     vocab = tok.load_vocab(args.vocab)
     model = EncoderDecoderModel.from_checkpoint(ckpt).eval()
     max_src = args.max_src_len or ckpt.config.max_positions
-    bodies = Path(args.input).read_text(encoding="utf-8").splitlines()
+    bodies = _read_lines(args.input)
     srcs = [frame_ids(tok.encode(body, vocab).ids, max_src) for body in bodies]
     if args.method == "greedy":
         outs = greedy_decode_batch(model, srcs, args.max_len)
     else:
-        outs = [beam_search(model, s, args.beam_size, args.max_len, args.alpha,
-                            args.block_repeat_ngram) for s in srcs]
+        outs = [beam_search(model, s, args.beam_size, args.max_len, args.alpha) for s in srcs]
     text = "\n".join(tok.decode(list(o), vocab) for o in outs) + "\n"
     Path(args.out).write_text(text, encoding="utf-8")
     print(f"wrote {len(outs)} summaries -> {args.out}")
@@ -124,7 +115,10 @@ def _cmd_generate(args) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not valid UTF-8 ({e})") from None
 
 
 def _cmd_evaluate(args) -> int:
@@ -133,9 +127,7 @@ def _cmd_evaluate(args) -> int:
     if len(cands) != len(refs):
         raise DataError(f"candidate file has {len(cands)} lines, "
                         f"reference file has {len(refs)}")
-    eval_tok = EvalTokenization(args.tokenization, args.lowercase)
-    vocab = tok.load_vocab(args.vocab) if args.vocab else None
-    scores = corpus_rouge(list(zip(cands, refs)), eval_tok, vocab)
+    scores = corpus_rouge(list(zip(cands, refs)))
     print(f"{'metric':<8} {'precision':>10} {'recall':>10} {'f1':>10}")
     for name in ("rouge1", "rouge2", "rougeL"):
         s = scores[name]
@@ -144,11 +136,7 @@ def _cmd_evaluate(args) -> int:
     if args.csv:
         lines = ["line,metric,precision,recall,f1"]
         for i, (cand, ref) in enumerate(zip(cands, refs)):
-            ct = tokenize_for_eval(cand, eval_tok, vocab)
-            rt = tokenize_for_eval(ref, eval_tok, vocab)
-            for name, sc in (("rouge1", rouge_n(ct, rt, 1)),
-                             ("rouge2", rouge_n(ct, rt, 2)),
-                             ("rougeL", rouge_l(ct, rt))):
+            for name, sc in pair_rouge(cand, ref).items():
                 lines.append(f"{i},{name},{sc.precision:.6f},{sc.recall:.6f},{sc.f1:.6f}")
         for name in ("rouge1", "rouge2", "rougeL"):
             s = scores[name]
@@ -157,12 +145,19 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _ratios(text: str) -> tuple[float, ...]:
+    """argparse type of --ratios: three comma-separated split ratios."""
+    try:
+        ratios = tuple(float(x) for x in text.split(","))
+        corpus_mod.check_ratios(ratios)
+    except ValueError as e:  # DataError is a ValueError
+        raise argparse.ArgumentTypeError(f"{text!r}: {e}") from None
+    return ratios
+
+
 def _cmd_stats(args) -> int:
     examples = corpus_mod.load_jsonl(args.corpus)
-    ratios = tuple(float(x) for x in args.ratios.split(","))
-    if len(ratios) != 3:
-        raise DataError(f"--ratios needs three comma-separated numbers, got {args.ratios!r}")
-    splits = corpus_mod.split(examples, ratios, args.seed)
+    splits = corpus_mod.split(examples, args.ratios, args.seed)
     stats = corpus_mod.compute_stats(splits)
     name = args.name or Path(args.corpus).stem
     sys.stdout.write(corpus_mod.render_stats_table(stats, name))
@@ -172,7 +167,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = load_config(args.config)
     table = run_experiment(cfg)
     sys.stdout.write(table.render_text())
     return 0
@@ -205,7 +200,6 @@ def build_parser() -> _Parser:
                 "train a BPE vocabulary from a JSONL corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--pretokenize", choices=tok.MODES, default="whitespace")
     p.add_argument("--fields", default="body,abstract")
     p.add_argument("--out", required=True)
 
@@ -247,21 +241,16 @@ def build_parser() -> _Parser:
     p.add_argument("--beam-size", type=int, default=4)
     p.add_argument("--max-len", type=int, default=24)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--block-repeat-ngram", type=int, default=0)
     p.add_argument("--max-src-len", type=int)
 
     p = command("evaluate", _cmd_evaluate, "ROUGE between aligned candidate/reference files")
     p.add_argument("--candidates", required=True)
     p.add_argument("--references", required=True)
-    p.add_argument("--tokenization", choices=["whitespace_words", "subword_ids"],
-                   default="whitespace_words")
-    p.add_argument("--lowercase", action="store_true")
-    p.add_argument("--vocab")
     p.add_argument("--csv")
 
     p = command("stats", _cmd_stats, "split a corpus and print its statistics table")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
+    p.add_argument("--ratios", type=_ratios, default="0.8,0.1,0.1")
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--name")
     p.add_argument("--csv")

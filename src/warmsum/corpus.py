@@ -104,11 +104,20 @@ def save_jsonl(examples: list[CorpusExample], path) -> None:
                    ensure_ascii=False) + "\n" for ex in examples))
 
 
+def check_ratios(ratios) -> None:
+    """Train/dev/test ratios are three non-negative numbers that sum to 1."""
+    numbers = all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in ratios)
+    # written so that NaN fails both comparisons
+    if len(ratios) != 3 or not numbers or not all(r >= 0 for r in ratios) \
+            or not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise DataError(f"split ratios must be three non-negative numbers that sum to 1, "
+                        f"got {ratios!r}")
+
+
 def split(examples: list[CorpusExample], ratios: tuple[float, float, float],
           seed: int) -> dict[str, list[CorpusExample]]:
     """Deterministic shuffled partition into train/dev/test by `ratios`."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must sum to 1, got {ratios}")
+    check_ratios(ratios)
     shuffled = list(examples)
     XorShift64Star(seed).shuffle(shuffled)
     n = len(shuffled)

@@ -77,7 +77,7 @@ def _greedy_chunk(model: EncoderDecoderModel, srcs: list[list[int]],
     for i, s in enumerate(srcs):
         src[i, :len(s)] = s
     src_real = pad_mask_from_ids(src)
-    memory = model.encode(src, src_real)
+    memory = model.encode(src)
 
     b = len(srcs)
     prefixes = np.full((b, 1), BOS, dtype=np.int64)
@@ -99,35 +99,21 @@ def greedy_decode(model: EncoderDecoderModel, src: list[int], max_len: int) -> n
 
 
 def beam_search(model: EncoderDecoderModel, src: list[int], beam_size: int,
-                max_len: int, length_penalty_alpha: float = 1.0,
-                block_repeat_ngram: int = 0) -> np.ndarray:
+                max_len: int, length_penalty_alpha: float = 1.0) -> np.ndarray:
     """Deterministic beam search; returns the best finished hypothesis' ids."""
-    hyp = beam_search_hypothesis(model, src, beam_size, max_len, length_penalty_alpha,
-                                 block_repeat_ngram)
+    hyp = beam_search_hypothesis(model, src, beam_size, max_len, length_penalty_alpha)
     return np.asarray(hyp.ids, dtype=np.int64)
 
 
-def _would_repeat_ngram(ids: tuple[int, ...], tok: int, n: int) -> bool:
-    if n <= 0 or len(ids) + 1 < 2 * n:  # not enough tokens for two occurrences
-        return False
-    tail = ids[len(ids) - (n - 1):] + (tok,) if n > 1 else (tok,)
-    seq = ids + (tok,)
-    for i in range(len(seq) - n):
-        if seq[i:i + n] == tail:
-            return True
-    return False
-
-
 def beam_search_hypothesis(model: EncoderDecoderModel, src: list[int], beam_size: int,
-                           max_len: int, length_penalty_alpha: float = 1.0,
-                           block_repeat_ngram: int = 0) -> BeamHypothesis:
+                           max_len: int, length_penalty_alpha: float = 1.0) -> BeamHypothesis:
     if beam_size < 1:
         raise DataError(f"beam_size must be >= 1, got {beam_size}")
     _check_max_len(model, max_len)
     model.eval()
     src_arr = np.asarray([src], dtype=np.int64)
     src_real = pad_mask_from_ids(src_arr)
-    memory = model.encode(src_arr, src_real)
+    memory = model.encode(src_arr)
     memory_data = memory.data
 
     active = [BeamHypothesis((BOS,), 0.0, False)]
@@ -145,8 +131,6 @@ def beam_search_hypothesis(model: EncoderDecoderModel, src: list[int], beam_size
             for tok in range(logp.shape[1]):
                 lp = logp[i, tok]
                 if lp == -np.inf:
-                    continue
-                if tok != EOS and _would_repeat_ngram(hyp.ids, tok, block_repeat_ngram):
                     continue
                 candidates.append(BeamHypothesis(hyp.ids + (tok,), hyp.logprob + lp,
                                                  tok == EOS or step == max_len))
@@ -168,7 +152,7 @@ def sequence_logprob(model: EncoderDecoderModel, src: list[int], seq: list[int])
     model.eval()
     src_arr = np.asarray([src], dtype=np.int64)
     src_real = pad_mask_from_ids(src_arr)
-    memory = model.encode(src_arr, src_real)
+    memory = model.encode(src_arr)
     prefix = np.asarray([seq[:-1]], dtype=np.int64)
     logits = model.decode_logits(prefix, memory, src_real).data[0]
     logp = _log_softmax(logits)

@@ -24,7 +24,7 @@ from .decoding import beam_search, greedy_decode_batch
 from .errors import DataError
 from .fileio import write_atomic
 from .model import EncoderDecoderModel, ModelConfig
-from .rouge import EvalTokenization, corpus_rouge
+from .rouge import corpus_rouge
 from .synthetic import SyntheticSettings, generate_corpus
 from .training import MetricsLog, TrainConfig, finetune, frame_ids, pretrain_mlm
 
@@ -32,7 +32,6 @@ from .training import MetricsLog, TrainConfig, finetune, frame_ids, pretrain_mlm
 @dataclass(frozen=True)
 class TokenizerSettings:
     target_vocab_size: int = 256
-    pretokenize_mode: str = "whitespace"
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,10 @@ class DecodingSettings:
     def __post_init__(self):
         if self.method not in ("greedy", "beam"):
             raise DataError(f"unknown decoding method {self.method!r}")
+        for name in ("beam_size", "max_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DataError(f"decoding {name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,9 @@ class CorpusSettings:
     synthetic: SyntheticSettings | None = SyntheticSettings()
     ratios: tuple[float, float, float] = (0.1, 0.1, 0.8)  # supervision-scarce
     split_seed: int = 13
-    dataset_name: str = "synthetic"
+
+    def __post_init__(self):
+        corpus_mod.check_ratios(self.ratios)
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,6 @@ class ExperimentConfig:
     modes: tuple[str, ...] = ("RND2RND", "WARM2RND", "WARM2WARM")
     seeds: tuple[int, ...] = (1, 2, 3)
     decoding: DecodingSettings = DecodingSettings(max_len=10)
-    eval_tokenization: EvalTokenization = EvalTokenization()
     dev_eval_limit: int | None = 64  # dev examples decoded per periodic eval
     output_dir: str = "runs/experiment"
 
@@ -127,7 +131,6 @@ _SECTIONS = {
     "pretrain": TrainConfig,
     "finetune": TrainConfig,
     "decoding": DecodingSettings,
-    "eval_tokenization": EvalTokenization,
 }
 
 
@@ -153,6 +156,14 @@ def _build_section(cls, obj, where: str):
         return cls(**kwargs)
     except (DataError, TypeError) as e:  # a value of the wrong type fails its check
         raise DataError(f"config section {where}: {e}") from None
+
+
+def load_config(path) -> ExperimentConfig:
+    """Read a config file; every failure is a DataError naming the file."""
+    try:
+        return config_from_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, DataError) as e:
+        raise DataError(f"config {path}: {e}") from None
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -258,8 +269,7 @@ def _prepare_vocab(cfg: ExperimentConfig, out: Path, train_split) -> tok.Vocabul
     if vocab_path.exists():
         return tok.load_vocab(vocab_path)
     lines = [ex.body for ex in train_split] + [ex.abstract for ex in train_split]
-    vocab = tok.train_bpe(lines, cfg.tokenizer.target_vocab_size,
-                          cfg.tokenizer.pretokenize_mode)
+    vocab = tok.train_bpe(lines, cfg.tokenizer.target_vocab_size)
     tok.save_vocab(vocab, vocab_path)
     return vocab
 
@@ -294,15 +304,27 @@ def _decode_test(cfg: ExperimentConfig, model_ckpt, test_split, vocab: tok.Vocab
     return [tok.decode(list(o), vocab) for o in outs]
 
 
+def _read_scores(path: Path, mode: str, seed: int) -> CellResult:
+    """The result a cell persisted; a malformed file is a DataError naming it."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        if (obj["mode"], obj["seed"]) != (mode, seed):
+            raise ValueError(f"it records cell {obj['mode']!r} seed {obj['seed']!r}")
+        f1 = [obj[key]["f1"] for key in ("rouge1", "rouge2", "rougeL")]
+        if not all(type(x) in (int, float) for x in f1):
+            raise ValueError(f"f1 scores must be numbers, got {f1!r}")
+    except (ValueError, KeyError, TypeError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise DataError(f"{path}: malformed scores ({type(e).__name__}: {e})") from None
+    return CellResult(mode, seed, f1[0] * 100, f1[1] * 100, f1[2] * 100)
+
+
 def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
               model_cfg: ModelConfig, encoder_ckpt, splits, vocab) -> CellResult:
     cell = out / "cells" / f"{mode}_s{seed}"
     cell.mkdir(parents=True, exist_ok=True)
     scores_path = cell / "scores.json"
     if scores_path.exists():
-        obj = json.loads(scores_path.read_text(encoding="utf-8"))
-        return CellResult(obj["mode"], obj["seed"], obj["rouge1"]["f1"] * 100,
-                          obj["rouge2"]["f1"] * 100, obj["rougeL"]["f1"] * 100)
+        return _read_scores(scores_path, mode, seed)
 
     source = None if mode == AssemblyMode.RND2RND.value else encoder_ckpt
     assembled = assemble(source, AssemblyMode(mode), model_cfg, seed, vocab_ref="vocab.txt")
@@ -317,8 +339,7 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
     decodes_path = cell / "test_decodes.txt"
     write_atomic(decodes_path, "\n".join(decoded) + "\n")
 
-    scores = corpus_rouge(list(zip(decoded, [ex.abstract for ex in splits["test"]])),
-                          cfg.eval_tokenization)
+    scores = corpus_rouge(list(zip(decoded, [ex.abstract for ex in splits["test"]])))
     record = {
         "mode": mode,
         "seed": seed,
@@ -370,7 +391,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
 def load_results(output_dir) -> ResultsTable:
     """Rebuild the table from persisted per-cell scores without recomputing."""
     out = Path(output_dir)
-    cfg = config_from_json((out / "config.json").read_text(encoding="utf-8"))
+    cfg = load_config(out / "config.json")
     table = ResultsTable()
     for mode in cfg.modes:
         for seed in cfg.seeds:
@@ -378,9 +399,5 @@ def load_results(output_dir) -> ResultsTable:
             if not scores_path.exists():
                 table.failures.append((mode, seed, "no scores.json recorded"))
                 continue
-            obj = json.loads(scores_path.read_text(encoding="utf-8"))
-            table.rows.append(CellResult(obj["mode"], obj["seed"],
-                                         obj["rouge1"]["f1"] * 100,
-                                         obj["rouge2"]["f1"] * 100,
-                                         obj["rougeL"]["f1"] * 100))
+            table.rows.append(_read_scores(scores_path, mode, seed))
     return table

@@ -245,11 +245,10 @@ class EncoderDecoderModel(_Model):
     def output_matrix(self) -> T.Tensor:
         return self.params["decoder.embed.token"]
 
-    def encode(self, src_ids: np.ndarray, src_pad_mask: np.ndarray | None = None) -> T.Tensor:
+    def encode(self, src_ids: np.ndarray) -> T.Tensor:
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        real = pad_mask_from_ids(src_ids) if src_pad_mask is None else np.asarray(src_pad_mask)
         fwd = _Forward(self.params, self.config, self._rng)
-        return fwd.encoder_stack(src_ids, real)
+        return fwd.encoder_stack(src_ids, pad_mask_from_ids(src_ids))
 
     def decode_logits(self, tgt_ids: np.ndarray, memory: T.Tensor,
                       src_pad_mask: np.ndarray) -> T.Tensor:
@@ -263,9 +262,8 @@ class EncoderDecoderModel(_Model):
         src_ids = np.asarray(src_ids, dtype=np.int64)
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
         _check_target_framing(tgt_ids)
-        real = pad_mask_from_ids(src_ids)
-        memory = self.encode(src_ids, real)
-        logits = self.decode_logits(tgt_ids[:, :-1], memory, real)
+        memory = self.encode(src_ids)
+        logits = self.decode_logits(tgt_ids[:, :-1], memory, pad_mask_from_ids(src_ids))
         b, l, v = logits.shape
         flat = T.reshape(logits, (b * l, v))
         targets = tgt_ids[:, 1:].reshape(-1)
@@ -292,10 +290,9 @@ class EncoderMlm(_Model):
 
     kind = "encoder_mlm"
 
-    def logits(self, ids: np.ndarray, pad_mask: np.ndarray | None = None) -> T.Tensor:
+    def logits(self, ids: np.ndarray) -> T.Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        real = pad_mask_from_ids(ids) if pad_mask is None else np.asarray(pad_mask)
         fwd = _Forward(self.params, self.config, self._rng)
-        h = fwd.encoder_stack(ids, real)
+        h = fwd.encoder_stack(ids, pad_mask_from_ids(ids))
         scores = T.matmul(h, T.transpose(self.params["encoder.embed.token"]))
         return T.add(scores, self.params["mlm.bias"])

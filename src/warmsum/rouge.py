@@ -1,8 +1,10 @@
 """Exact ROUGE-1 / ROUGE-2 / ROUGE-L with precision, recall and F1.
 
 ROUGE-N uses clipped n-gram counts; ROUGE-L uses the longest common
-subsequence computed by O(|a|*|b|) dynamic programming. No stemming, no
-stopword removal. Degenerate inputs score zero rather than raising.
+subsequence computed by O(|a|*|b|) dynamic programming. Texts are scored
+on their whitespace-separated words with case kept: no lowercasing, no
+stemming, no stopword removal. Degenerate inputs score zero rather than
+raising.
 """
 
 from __future__ import annotations
@@ -11,9 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DataError
-from . import tokenizer as tok
-
-EVAL_MODES = ("whitespace_words", "subword_ids")
 
 
 @dataclass(frozen=True)
@@ -21,16 +20,6 @@ class RougeScore:
     precision: float
     recall: float
     f1: float
-
-
-@dataclass(frozen=True)
-class EvalTokenization:
-    mode: str = "whitespace_words"
-    lowercase: bool = False
-
-    def __post_init__(self):
-        if self.mode not in EVAL_MODES:
-            raise DataError(f"unknown eval tokenization mode {self.mode!r}")
 
 
 def _score(overlap: float, n_cand: int, n_ref: int) -> RougeScore:
@@ -72,30 +61,20 @@ def rouge_l(candidate: list, reference: list) -> RougeScore:
     return _score(lcs, len(candidate), len(reference))
 
 
-def tokenize_for_eval(text: str, eval_tok: EvalTokenization,
-                      vocab: "tok.Vocabulary | None" = None) -> list:
-    if eval_tok.lowercase:
-        text = text.lower()
-    if eval_tok.mode == "whitespace_words":
-        return text.split()
-    if vocab is None:
-        raise DataError("subword_ids eval tokenization requires a vocabulary")
-    return list(tok.encode(text, vocab).ids)
+def pair_rouge(candidate: str, reference: str) -> dict[str, RougeScore]:
+    """rouge1, rouge2 and rougeL of one pair of texts, over their words."""
+    cand, ref = candidate.split(), reference.split()
+    return {"rouge1": rouge_n(cand, ref, 1), "rouge2": rouge_n(cand, ref, 2),
+            "rougeL": rouge_l(cand, ref)}
 
 
-def corpus_rouge(pairs: list[tuple[str, str]],
-                 eval_tok: EvalTokenization = EvalTokenization(),
-                 vocab: "tok.Vocabulary | None" = None) -> dict[str, RougeScore]:
+def corpus_rouge(pairs: list[tuple[str, str]]) -> dict[str, RougeScore]:
     """Unweighted means of per-pair p/r/f1 for rouge1, rouge2 and rougeL."""
     if not pairs:
         raise DataError("corpus_rouge needs at least one (candidate, reference) pair")
     sums = {k: [0.0, 0.0, 0.0] for k in ("rouge1", "rouge2", "rougeL")}
     for cand_text, ref_text in pairs:
-        cand = tokenize_for_eval(cand_text, eval_tok, vocab)
-        ref = tokenize_for_eval(ref_text, eval_tok, vocab)
-        for key, score in (("rouge1", rouge_n(cand, ref, 1)),
-                           ("rouge2", rouge_n(cand, ref, 2)),
-                           ("rougeL", rouge_l(cand, ref))):
+        for key, score in pair_rouge(cand_text, ref_text).items():
             sums[key][0] += score.precision
             sums[key][1] += score.recall
             sums[key][2] += score.f1

@@ -75,7 +75,8 @@ class Tape:
     """Records op nodes in forward execution order; also a context manager.
 
     Only one tape may be active at a time. Ops executed with no active tape
-    (inference) record nothing and allocate no gradient state.
+    (inference) record nothing and allocate no gradient state. Leaving the
+    `with` block drops the recorded graph, so backward runs inside the block.
     """
 
     def __init__(self):
@@ -92,6 +93,9 @@ class Tape:
     def __exit__(self, *exc) -> None:
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = None
+        # every output holds its tape (out._tape), so the nodes form a reference
+        # cycle that only the cyclic collector could free; emptying breaks it
+        self._nodes.clear()
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -108,8 +112,8 @@ def backward(loss: Tensor) -> None:
     tape = loss._tape
     if tape is None:
         raise RuntimeError("loss was not recorded on an active tape")
-    if tape.replayed:
-        raise RuntimeError("tape already replayed; record a new tape to run backward again")
+    if tape.replayed or not tape._nodes:  # a recorded loss leaves its tape nonempty until exit
+        raise RuntimeError("tape already replayed or closed; record a new tape to run backward")
     tape.replayed = True
     loss.grad = np.ones((), dtype=np.float64)
     for out, inputs, backward_fn in reversed(tape._nodes):

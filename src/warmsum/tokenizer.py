@@ -1,10 +1,8 @@
-"""Subword tokenizer: frequency BPE over pre-tokenized units.
+"""Subword tokenizer: frequency BPE over whitespace-separated words.
 
-Two pretokenization modes:
-  whitespace  'words' are whitespace-separated; a word-end marker symbol is
-              appended to each word so decoding can restore spaces
-  character   the whole line is one unit; spaces become a visible marker
-              symbol so token strings never contain whitespace
+Each word is one unit, with a word-end marker symbol appended so decoding
+can restore the spaces. Vietnamese is written as space-separated syllables,
+so every syllable is a unit.
 
 Vocabulary ids 0..4 are reserved for PAD, UNK, BOS, EOS and MASK, in that
 order. Training is deterministic: the most frequent adjacent pair merges
@@ -26,18 +24,12 @@ PAD, UNK, BOS, EOS, MASK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ["<pad>", "<unk>", "<s>", "</s>", "<mask>"]
 NUM_SPECIALS = len(SPECIAL_TOKENS)
 
-WORD_END = "</w>"   # whitespace mode: marks the end of each word
-SPACE_MARK = "▁"  # character mode: stands in for a space (reserved)
-
-MODES = ("whitespace", "character")
+WORD_END = "</w>"  # marks the end of each word
 
 
-def normalize_text(text: str, mode: str = "whitespace") -> str:
-    """NFC-normalize; whitespace mode also collapses runs of whitespace."""
-    text = unicodedata.normalize("NFC", text)
-    if mode == "whitespace":
-        return " ".join(text.split())
-    return "".join(" " if ch.isspace() else ch for ch in text)
+def normalize_text(text: str) -> str:
+    """NFC-normalize and collapse runs of whitespace to single spaces."""
+    return " ".join(unicodedata.normalize("NFC", text).split())
 
 
 @dataclass
@@ -49,12 +41,9 @@ class TokenSequence:
 class Vocabulary:
     id_to_token: list[str]
     merges: list[tuple[str, str]]
-    pretokenize_mode: str = "whitespace"
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.pretokenize_mode not in MODES:
-            raise DataError(f"unknown pretokenize mode {self.pretokenize_mode!r}")
         self.token_to_id = {}
         for i, tok in enumerate(self.id_to_token):
             if tok in self.token_to_id:
@@ -62,31 +51,25 @@ class Vocabulary:
             self.token_to_id[tok] = i
         if self.id_to_token[:NUM_SPECIALS] != SPECIAL_TOKENS:
             raise DataError("vocabulary must start with the 5 special tokens")
+        for a, b in self.merges:
+            if not {a, b, a + b} <= self.token_to_id.keys():
+                raise DataError(f"merge {a!r} {b!r} joins or makes a string that is not a token")
 
     @property
     def size(self) -> int:
         return len(self.id_to_token)
 
 
-def _pretokenize(text: str, mode: str) -> list[list[str]]:
-    """Split normalized text into symbol sequences that merges operate on."""
-    text = normalize_text(text, mode)
-    if mode == "whitespace":
-        return [list(w) + [WORD_END] for w in text.split()]
-    if not text:
-        return []
-    return [[SPACE_MARK if ch == " " else ch for ch in text]]
+def _pretokenize(text: str) -> list[list[str]]:
+    """Split normalized text into the symbol sequences that merges operate on."""
+    return [list(w) + [WORD_END] for w in normalize_text(text).split()]
 
 
-def train_bpe(corpus: Iterable[str], target_vocab_size: int,
-              pretokenize_mode: str = "whitespace") -> Vocabulary:
+def train_bpe(corpus: Iterable[str], target_vocab_size: int) -> Vocabulary:
     """Learn a BPE vocabulary of at most `target_vocab_size` entries."""
-    if pretokenize_mode not in MODES:
-        raise DataError(f"unknown pretokenize mode {pretokenize_mode!r}")
-
     unit_counts: Counter[tuple[str, ...]] = Counter()
     for line in corpus:
-        for unit in _pretokenize(line, pretokenize_mode):
+        for unit in _pretokenize(line):
             unit_counts[tuple(unit)] += 1
     if not unit_counts:
         raise DataError("cannot train a vocabulary on an empty corpus")
@@ -120,7 +103,7 @@ def train_bpe(corpus: Iterable[str], target_vocab_size: int,
         if merged not in seen:
             tokens.append(merged)
             seen.add(merged)
-    return Vocabulary(tokens, merges, pretokenize_mode)
+    return Vocabulary(tokens, merges)
 
 
 def _apply_merge(syms: list[str], pair: tuple[str, str], merged: str) -> list[str]:
@@ -143,7 +126,7 @@ def encode(text: str, vocab: Vocabulary) -> TokenSequence:
     """Greedy merge application in training order; unknown symbols become UNK."""
     ids: list[int] = []
     lookup = vocab.token_to_id
-    for unit in _pretokenize(text, vocab.pretokenize_mode):
+    for unit in _pretokenize(text):
         syms = unit
         for pair in vocab.merges:
             syms = _apply_merge(syms, pair, pair[0] + pair[1])
@@ -161,22 +144,19 @@ def decode(seq: TokenSequence | list[int], vocab: Vocabulary) -> str:
         if i in (PAD, BOS, EOS):
             continue
         pieces.append(vocab.id_to_token[i])
-    text = "".join(pieces)
-    if vocab.pretokenize_mode == "whitespace":
-        return text.replace(WORD_END, " ").rstrip()
-    return text.replace(SPACE_MARK, " ")
+    return "".join(pieces).replace(WORD_END, " ").rstrip()
 
 
 # ---------------------------------------------------------------------------
 # vocabulary file: one token per line (line number = id), a `#MERGES` section
-# with one pair per line, then a `#PRETOKENIZE <mode>` line.
+# with one pair per line, then a `#PRETOKENIZE whitespace` line, the only mode.
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
     lines = list(vocab.id_to_token)
     lines.append("#MERGES")
     lines.extend(f"{a} {b}" for a, b in vocab.merges)
-    lines.append(f"#PRETOKENIZE {vocab.pretokenize_mode}")
+    lines.append("#PRETOKENIZE whitespace")
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -193,17 +173,18 @@ def load_vocab(path) -> Vocabulary:
     except ValueError:
         raise DataError(f"{path}: missing #MERGES section") from None
     tokens = raw[:merge_at]
-    mode = "whitespace"
     merges = []
     for line in raw[merge_at + 1:]:
         if line.startswith("#PRETOKENIZE"):
             mode = line[len("#PRETOKENIZE"):].strip()
+            if mode != "whitespace":
+                raise DataError(f"{path}: unknown pretokenize mode {mode!r}")
             continue
         parts = line.split(" ")
         if len(parts) != 2:
             raise DataError(f"{path}: malformed merge line {line!r}")
         merges.append((parts[0], parts[1]))
     try:
-        return Vocabulary(tokens, merges, mode)
+        return Vocabulary(tokens, merges)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None

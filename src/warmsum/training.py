@@ -3,7 +3,8 @@
 Everything is deterministic given (seed, data, config): batches, masking
 decisions and dropout all draw from one PCG64 stream seeded by the config.
 The learning rate warms up linearly for `warmup_steps` then decays linearly
-to zero at `total_steps`.
+to zero at `total_steps`. Adam, gradient clipping and MLM masking use the
+fixed constants below.
 """
 
 from __future__ import annotations
@@ -21,32 +22,28 @@ from .model import EncoderDecoderModel, EncoderMlm, ModelConfig
 from .rouge import rouge_l
 from .tokenizer import BOS, EOS, MASK, PAD, NUM_SPECIALS, Vocabulary, decode, encode
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+GRADIENT_CLIP_NORM = 1.0  # global L2 norm
+MLM_MASK_PROB = 0.15  # share of maskable tokens that MLM corruption selects
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     warmup_steps: int = 100
     total_steps: int = 1000
     batch_size: int = 8
     max_src_len: int = 64
     max_tgt_len: int = 24
-    mlm_mask_prob: float = 0.15
     seed: int = 0
-    gradient_clip_norm: float = 1.0  # math.inf disables clipping
 
     def __post_init__(self):
-        positive = ("beta1", "beta2", "adam_eps", "warmup_steps", "total_steps",
-                    "batch_size", "max_src_len", "max_tgt_len", "gradient_clip_norm")
+        positive = ("warmup_steps", "total_steps", "batch_size", "max_src_len", "max_tgt_len")
         for name in positive:
             if not getattr(self, name) > 0:
                 raise DataError(f"TrainConfig.{name} must be positive")
         if self.learning_rate < 0:  # zero is allowed: a no-op run must stay bit-identical
             raise DataError("TrainConfig.learning_rate must be non-negative")
-        if not 0.0 < self.mlm_mask_prob < 1.0:
-            raise DataError(f"mlm_mask_prob must be in (0, 1), got {self.mlm_mask_prob}")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -85,23 +82,22 @@ def adam_step(params: dict[str, T.Tensor], state: OptimizerState,
             raise NumericError(f"non-finite gradient in parameter {name!r}")
         grads[name] = g
 
-    if math.isfinite(cfg.gradient_clip_norm):
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if total > cfg.gradient_clip_norm:
-            factor = cfg.gradient_clip_norm / total
-            grads = {k: g * factor for k, g in grads.items()}
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > GRADIENT_CLIP_NORM:
+        factor = GRADIENT_CLIP_NORM / total
+        grads = {k: g * factor for k, g in grads.items()}
 
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name in names:
         g = grads[name]
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        params[name].data -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        params[name].data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +195,10 @@ def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,
     for step in range(1, cfg.total_steps + 1):
         idx = rng.integers(0, len(seqs), size=cfg.batch_size)
         batch = pad_batch([seqs[i] for i in idx])
-        corrupted, targets = _mask_batch(batch, model_cfg.vocab_size, cfg.mlm_mask_prob, rng)
+        corrupted, targets = _mask_batch(batch, model_cfg.vocab_size, MLM_MASK_PROB, rng)
         model.train(rng)
         with T.Tape():
-            logits = model.logits(corrupted, batch != PAD)
+            logits = model.logits(corrupted)
             b, l, v = logits.shape
             loss = T.cross_entropy(T.reshape(logits, (b * l, v)),
                                    targets.reshape(-1), ignore_id=-1)
@@ -238,8 +234,8 @@ def evaluate_mlm(ckpt: Checkpoint, lines: list[str], vocab: Vocabulary,
     for start in range(0, len(seqs), cfg.batch_size):
         batch = pad_batch(seqs[start:start + cfg.batch_size])
         corrupted, targets = _mask_batch(batch, ckpt.config.vocab_size,
-                                         cfg.mlm_mask_prob, rng)
-        logits = model.logits(corrupted, batch != PAD)
+                                         MLM_MASK_PROB, rng)
+        logits = model.logits(corrupted)
         b, l, v = logits.shape
         flat, targets = T.reshape(logits, (b * l, v)), targets.reshape(-1)
         keep = targets != -1

@@ -311,7 +311,7 @@ def test_a5_causality_and_tying():
         model = _tiny_model(2000 + case)
         src, tgt = _random_pair(rng, tgt_len=6)
         real = src != PAD
-        memory = model.encode(src, real)
+        memory = model.encode(src)
         base = model.decode_logits(tgt, memory, real).data
         t = int(rng.integers(0, tgt.shape[1] - 1))
         mutated = tgt.copy()
@@ -332,7 +332,7 @@ def test_a5_causality_and_tying():
         assert model.output_matrix is emb
         from warmsum.model import _Forward
 
-        memory2 = model.encode(src, real)
+        memory2 = model.encode(src)
         logits = model.decode_logits(tgt, memory2, real)
         hidden = _Forward(model.params, TINY, None).decoder_stack(tgt, memory2, real)
         assert np.array_equal(logits.data, hidden.data @ emb.data.T)

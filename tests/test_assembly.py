@@ -104,7 +104,7 @@ def test_warm2warm_produces_finite_logits(encoder_ckpt):
     src = np.array([[BOS, 6, 7, EOS, PAD]])
     tgt = np.array([[BOS, 9, 10]])
     real = src != PAD
-    logits = model.decode_logits(tgt, model.encode(src, real), real)
+    logits = model.decode_logits(tgt, model.encode(src), real)
     assert np.all(np.isfinite(logits.data))
 
 

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -92,6 +93,11 @@ def test_config_print_defaults_round_trips():
     cfg = config_from_json(out)
     assert cfg == config_from_json(config_to_json(cfg))
 
+    def settable_values(obj):
+        return sum(map(settable_values, obj.values())) if isinstance(obj, dict) else 1
+
+    assert settable_values(json.loads(out)) == 41
+
 
 @pytest.mark.slow
 def test_cli_pipeline_end_to_end(tmp_path):
@@ -177,10 +183,10 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
     save_vocab(train_bpe(["ba ke mi"], 20), vocab)
     lines = vocab.read_text(encoding="utf-8").splitlines()
     vocab.write_text("\n".join(lines[:-1] + ["#PRETOKENIZE"]) + "\n", encoding="utf-8")
-    text = tmp_path / "a.txt"
-    text.write_text("ba ke\n", encoding="utf-8")
-    assert main(["evaluate", "--candidates", str(text), "--references", str(text),
-                 "--vocab", str(vocab)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_to_json(tiny_config(tmp_path / "runs")), encoding="utf-8")
+    assert main(["assemble", "--config", str(cfg), "--vocab", str(vocab), "--mode", "rnd2rnd",
+                 "--out", str(tmp_path / "o.ckpt")]) == 2
     assert f"{vocab}: unknown pretokenize mode ''" in capsys.readouterr().err
 
 
@@ -189,6 +195,14 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
     ('{"seeds": 5}', "'seeds' must be a list"),
     ('{"dev_eval_limit": "5", "output_dir": "OUT"}', "dev_eval_limit must be a positive integer"),
     ('{"output_dir": 5}', "output_dir must be a string"),
+    ('{"corpus": {"ratios": [0.5, 0.5]}, "output_dir": "OUT"}',
+     "ratios must be three non-negative numbers that sum to 1"),
+    ('{"corpus": {"ratios": [1.1, -0.05, -0.05]}, "output_dir": "OUT"}',
+     "ratios must be three non-negative numbers that sum to 1"),
+    ('{"decoding": {"beam_size": 0}, "output_dir": "OUT"}',
+     "decoding beam_size must be an integer >= 1, got 0"),
+    ('{"decoding": {"max_len": 0}, "output_dir": "OUT"}',
+     "decoding max_len must be an integer >= 1, got 0"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.json"
@@ -196,6 +210,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, message):
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and message in err
+    assert not (tmp_path / "runs").exists()  # checked whole before anything is written
 
 
 def test_bad_model_settings_exit_2_before_any_artifact(tmp_path, capsys):
@@ -205,3 +220,88 @@ def test_bad_model_settings_exit_2_before_any_artifact(tmp_path, capsys):
     assert main(["run", "--config", str(path)]) == 2
     assert "n_heads must be an integer >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _run_dir_with_scores(tmp_path, scores_text):
+    out = tmp_path / "runs"
+    cell = out / "cells" / "RND2RND_s1"
+    cell.mkdir(parents=True)
+    config = config_to_json(tiny_config(out, modes=("RND2RND",), seeds=(1,)))
+    (out / "config.json").write_text(config, encoding="utf-8")
+    (cell / "scores.json").write_text(scores_text, encoding="utf-8")
+    return out, cell / "scores.json"
+
+
+SCORES = ('{"mode": "RND2RND", "seed": 1, "rouge1": {"f1": 0.5}, "rouge2": {"f1": 0.25}, '
+          '"rougeL": {"f1": 0.5}}')
+
+
+def test_report_with_truncated_scores_exits_2(tmp_path, capsys):
+    out, scores = _run_dir_with_scores(tmp_path, SCORES[:40])
+    assert main(["report", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{scores}: malformed scores (JSONDecodeError" in err
+
+
+def test_report_with_scores_missing_rouge1_exits_2(tmp_path, capsys):
+    out, scores = _run_dir_with_scores(tmp_path, SCORES.replace('"rouge1"', '"rouge9"'))
+    assert main(["report", "--dir", str(out)]) == 2
+    assert f"{scores}: malformed scores (KeyError: 'rouge1')" in capsys.readouterr().err
+
+
+def test_report_names_the_config_it_cannot_read(tmp_path, capsys):
+    out, _ = _run_dir_with_scores(tmp_path, SCORES)
+    cfg = out / "config.json"
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace(
+        '"split_seed"', '"dataset_name": "synthetic",\n    "split_seed"'), encoding="utf-8")
+    assert main(["report", "--dir", str(out)]) == 2
+    assert f"config {cfg}: unknown keys in config section corpus: ['dataset_name']" \
+        in capsys.readouterr().err
+
+
+def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
+    cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
+    cand.write_bytes(b"con m\xe8o\n")
+    ref.write_text("con mèo\n", encoding="utf-8")
+    assert main(["evaluate", "--candidates", str(cand), "--references", str(ref)]) == 2
+    assert f"{cand}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_generate_non_utf8_input_exits_2(tmp_path, capsys):
+    from warmsum.assembly import AssemblyMode, assemble, save_checkpoint
+    from warmsum.model import ModelConfig
+    from warmsum.tokenizer import save_vocab, train_bpe
+
+    vocab = train_bpe(["ba lo ba lo"], 20)
+    save_vocab(vocab, tmp_path / "vocab.txt")
+    cfg = ModelConfig(vocab.size, d_model=8, n_heads=2, d_ff=8, n_enc_layers=1,
+                      n_dec_layers=1, max_positions=16, dropout=0.0)
+    save_checkpoint(assemble(None, AssemblyMode.RND2RND, cfg, seed=1), tmp_path / "m.ckpt")
+    bodies = tmp_path / "in.txt"
+    bodies.write_bytes(b"ba \xff lo\n")
+    assert main(["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--vocab",
+                 str(tmp_path / "vocab.txt"), "--input", str(bodies),
+                 "--out", str(tmp_path / "out.txt")]) == 2
+    assert f"{bodies}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_stats_ratios_that_are_not_numbers_are_a_usage_error(capsys):
+    assert main(["stats", "--corpus", str(DATA_DIR / "mini_corpus.jsonl"),
+                 "--ratios", "a,b,c"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: warmsum stats") and "argument --ratios" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenizer-train", "--corpus", "c.jsonl", "--vocab-size", "50", "--out", "v.txt",
+     "--pretokenize", "character"],
+    ["generate", "--ckpt", "m.ckpt", "--vocab", "v.txt", "--input", "in.txt", "--out", "o.txt",
+     "--block-repeat-ngram", "2"],
+    ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--tokenization",
+     "subword_ids"],
+    ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--lowercase"],
+    ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--vocab", "v.txt"],
+])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import unicodedata
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from warmsum.corpus import (CorpusExample, CorpusStats, XorShift64Star, compute_stats,
@@ -103,6 +105,9 @@ def test_split_deterministic_and_disjoint():
 def test_split_rejects_bad_ratios_and_empty_parts():
     with pytest.raises(DataError, match="sum to 1"):
         split(_toy(10), (0.5, 0.2, 0.2), seed=0)
+    for ratios in [(0.5, 0.5), (1.1, -0.05, -0.05), (float("nan"), 0.5, 0.5), ("1", 0, 0)]:
+        with pytest.raises(DataError, match="three non-negative numbers"):
+            split(_toy(10), ratios, seed=0)
     with pytest.raises(DataError, match="empty"):
         split(_toy(1), (0.98, 0.01, 0.01), seed=0)
 
@@ -161,3 +166,24 @@ def test_stats_csv_format():
         "dataset,n_train,n_dev,n_test,avg_body_words,avg_abstract_words\n"
         "toy,6,2,2,5.000000,1.500000\n"
     )
+
+
+JSONL_BLOB = b"".join((DATA_DIR / "mini_corpus.jsonl").read_bytes().splitlines(True)[:3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_or_truncated_jsonl_loads_or_raises_data_error(tmp_path_factory, data):
+    blob = bytearray(JSONL_BLOB)
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.jsonl"
+    path.write_bytes(bytes(blob))
+    try:
+        examples = load_jsonl(path)
+    except DataError:
+        return
+    assert all(isinstance(ex.body, str) and ex.body.strip() for ex in examples)

@@ -216,20 +216,6 @@ def test_beam_hypothesis_invariants():
     assert adjusted_score(hyp, 1.0) == pytest.approx(-1.5 / ((5 + 2) / 6))
 
 
-def test_block_repeat_ngram_option():
-    # a model that wants to loop on token 5 forever
-    v = 7
-    row = np.log(np.array([1e-12, 1e-3, 1e-12, 1e-3, 1e-3, 0.95, 0.04]))
-    model = ScriptedModel({i: row for i in range(v)}, v)
-    src = [BOS, EOS]
-    unblocked = beam_search(model, src, beam_size=2, max_len=6, length_penalty_alpha=0.0)
-    assert list(unblocked).count(5) > 1
-    blocked = beam_search(model, src, beam_size=2, max_len=6,
-                          length_penalty_alpha=0.0, block_repeat_ngram=1)
-    generated = list(blocked[1:])
-    assert len(generated) == len(set(generated)), blocked
-
-
 def test_beam_validates_arguments():
     model = random_model(10)
     with pytest.raises(DataError):

@@ -19,7 +19,7 @@ def tiny_config(output_dir, modes=("RND2RND", "WARM2WARM"), seeds=(1, 2)):
         corpus=CorpusSettings(
             synthetic=SyntheticSettings(n_pairs=80, seed=3, n_words=20, body_min=10,
                                         body_max=14, lead_k=4, chain_prob=0.8),
-            ratios=(0.7, 0.15, 0.15), split_seed=5, dataset_name="tiny"),
+            ratios=(0.7, 0.15, 0.15), split_seed=5),
         tokenizer=TokenizerSettings(target_vocab_size=120),
         model=ModelSettings(d_model=16, n_heads=2, d_ff=32, n_enc_layers=1,
                             n_dec_layers=1, max_positions=32, dropout=0.0),
@@ -63,7 +63,7 @@ def test_default_windows_hold_whole_documents():
     syn = cfg.corpus.synthetic
     train = split(generate_corpus(syn), cfg.corpus.ratios, cfg.corpus.split_seed)["train"]
     vocab = train_bpe([ex.body for ex in train] + [ex.abstract for ex in train],
-                      cfg.tokenizer.target_vocab_size, cfg.tokenizer.pretokenize_mode)
+                      cfg.tokenizer.target_vocab_size)
     # every word is one token, so the windows follow from word counts
     assert all(len(encode(w, vocab).ids) == 1 for w in word_inventory(syn.n_words))
     assert cfg.pretrain.max_src_len >= syn.body_max + syn.lead_k + 2  # "body abstract"

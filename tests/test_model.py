@@ -78,11 +78,16 @@ def test_zero_layer_encoder_returns_embeddings():
 def test_encoder_pad_positions_never_attended():
     model = tiny_model(seed=3)
     src = np.array([[BOS, 6, 7, EOS, PAD, PAD]])
-    base = model.encode(src).data
-    junk = src.copy()
-    junk[0, 4:] = [9, 13]  # junk content behind the pad mask
-    perturbed = model.encode(junk, src_pad_mask=(src != PAD)).data
-    assert np.max(np.abs(perturbed[0, :4] - base[0, :4])) < 1e-10
+    tgt = np.array([[BOS, 8, 9]])
+    real = src != PAD
+    memory = model.encode(src)
+    base = model.decode_logits(tgt, memory, real).data
+    junk = memory.data.copy()
+    junk[0, 4:] = 100.0 * np.random.default_rng(3).normal(size=junk[0, 4:].shape)
+    perturbed = model.decode_logits(tgt, T.Tensor(junk), real).data  # junk behind the mask
+    assert np.max(np.abs(perturbed - base)) < 1e-10
+    exposed = model.decode_logits(tgt, T.Tensor(junk), np.ones_like(real)).data
+    assert np.max(np.abs(exposed - base)) > 1e-6  # sanity: unmasked junk moves the logits
 
 
 def test_encoder_output_invariant_to_extra_padding():
@@ -99,7 +104,7 @@ def test_decoder_causality():
     model = tiny_model(seed=6)
     src, tgt = random_batch(rng, TINY, batch=1, src_len=6, tgt_len=6)
     real = src != PAD
-    memory = model.encode(src, real)
+    memory = model.encode(src)
     base = model.decode_logits(tgt, memory, real).data
     t = 2
     mutated = tgt.copy()
@@ -114,7 +119,7 @@ def test_tied_logits_are_hidden_times_embedding_transpose():
     src = np.array([[BOS, 6, EOS]])
     tgt = np.array([[BOS, 8, 9]])
     real = src != PAD
-    memory = model.encode(src, real)
+    memory = model.encode(src)
     logits = model.decode_logits(tgt, memory, real)
     fwd = _Forward(model.params, TINY, None)
     hidden = fwd.decoder_stack(tgt, memory, real)
@@ -129,7 +134,7 @@ def test_random_model_logits_finite():
         model = tiny_model(seed=seed)
         src, tgt = random_batch(rng, TINY)
         real = src != PAD
-        logits = model.decode_logits(tgt, model.encode(src, real), real)
+        logits = model.decode_logits(tgt, model.encode(src), real)
         assert np.all(np.isfinite(logits.data))
 
 
@@ -147,7 +152,7 @@ def test_forward_loss_matches_manual_cross_entropy():
     tgt = np.array([[BOS, 10, 11, EOS, PAD]])
     loss = model.forward_loss(src, tgt)
     real = src != PAD
-    logits = model.decode_logits(tgt[:, :-1], model.encode(src, real), real)
+    logits = model.decode_logits(tgt[:, :-1], model.encode(src), real)
     manual = T.cross_entropy(T.reshape(logits, (4, TINY.vocab_size)),
                              tgt[:, 1:].reshape(-1), ignore_id=PAD)
     assert loss.item() == pytest.approx(manual.item(), rel=1e-12)

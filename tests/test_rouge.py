@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warmsum.errors import DataError
-from warmsum.rouge import (EvalTokenization, corpus_rouge, lcs_length, rouge_l,
+from warmsum.rouge import (corpus_rouge, lcs_length, rouge_l,
                            rouge_n)
 
 tokens = st.lists(st.sampled_from("abcdef"), min_size=0, max_size=10)
@@ -187,19 +187,7 @@ def test_corpus_rouge_empty_list_rejected():
         corpus_rouge([])
 
 
-def test_eval_tokenization_lowercase():
-    agg = corpus_rouge([("The Cat", "the cat")], EvalTokenization(lowercase=True))
-    assert agg["rouge1"].f1 == 1.0
+def test_corpus_rouge_keeps_case():
     agg = corpus_rouge([("The Cat", "the cat")])
     assert agg["rouge1"].f1 == 0.0
-
-
-def test_eval_tokenization_subword_ids():
-    from warmsum.tokenizer import train_bpe
-
-    vocab = train_bpe(["mèo ngủ trên ghế", "mèo con ngủ"], 60)
-    agg = corpus_rouge([("mèo ngủ", "mèo ngủ")],
-                       EvalTokenization(mode="subword_ids"), vocab)
-    assert agg["rouge1"].f1 == 1.0
-    with pytest.raises(DataError):
-        corpus_rouge([("a", "a")], EvalTokenization(mode="subword_ids"))
+    assert corpus_rouge([("the  cat\n", "the cat")])["rougeL"].f1 == 1.0  # words, not spacing

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +207,32 @@ def test_backward_twice_without_reset_errors():
         with pytest.raises(RuntimeError, match="replayed"):
             T.backward(loss)
     assert np.array_equal(x.grad, np.ones(2))  # the refused replay added nothing
+
+
+def test_tape_frees_its_graph_when_the_block_ends():
+    x = T.parameter([1.0, 2.0])
+    gc.disable()  # only reference counting may free the graph
+    try:
+        with T.Tape() as tape:
+            hidden = T.gelu(T.scale(x, 2.0))
+            loss = T.sum_all(hidden)
+            T.backward(loss)
+            assert len(tape) == 3
+        intermediate = weakref.ref(hidden.data)
+        del hidden, loss
+        assert intermediate() is None
+    finally:
+        gc.enable()
+    assert len(tape) == 0 and x.grad is not None
+
+
+def test_backward_after_the_block_ends_errors():
+    x = T.parameter([1.0, 2.0])
+    with T.Tape():
+        loss = T.sum_all(x)
+    with pytest.raises(RuntimeError, match="closed"):
+        T.backward(loss)
+    assert x.grad is None
 
 
 def test_backward_requires_scalar():

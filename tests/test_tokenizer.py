@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,13 @@ def mini_lines():
 @pytest.fixture(scope="module")
 def mini_vocab(mini_lines):
     return tok.train_bpe(mini_lines, 220)
+
+
+@pytest.fixture(scope="module")
+def vocab_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("vocab") / "vocab.txt"
+    tok.save_vocab(tok.train_bpe(["ba lo ba lo mì mì", "bà lô"], 24), path)
+    return path.read_bytes()
 
 
 def test_first_merge_is_most_frequent_pair():
@@ -51,12 +60,6 @@ def test_round_trip_on_mini_corpus(mini_lines, mini_vocab):
     for line in mini_lines:
         seq = tok.encode(line, mini_vocab)
         assert tok.decode(seq, mini_vocab) == tok.normalize_text(line)
-
-
-def test_round_trip_character_mode(mini_lines):
-    vocab = tok.train_bpe(mini_lines[:30], 240, pretokenize_mode="character")
-    for line in mini_lines[:30]:
-        assert tok.decode(tok.encode(line, vocab), vocab) == tok.normalize_text(line, "character")
 
 
 def test_unknown_symbol_becomes_unk():
@@ -118,7 +121,7 @@ def test_vocab_size_capped_by_achievable_merges():
 
 def test_every_token_occurs_in_training_corpus(mini_lines, mini_vocab):
     corpus_text = "\x00".join(
-        "".join(sym for unit in tok._pretokenize(line, "whitespace") for sym in unit)
+        "".join(sym for unit in tok._pretokenize(line) for sym in unit)
         for line in mini_lines)
     for token in mini_vocab.id_to_token[tok.NUM_SPECIALS:]:
         assert token in corpus_text
@@ -135,7 +138,6 @@ def test_vocab_file_round_trip(mini_vocab, tmp_path):
     loaded = tok.load_vocab(path)
     assert loaded.id_to_token == mini_vocab.id_to_token
     assert loaded.merges == mini_vocab.merges
-    assert loaded.pretokenize_mode == mini_vocab.pretokenize_mode
 
 
 def test_vocab_file_is_line_per_token(mini_vocab, tmp_path):
@@ -145,6 +147,48 @@ def test_vocab_file_is_line_per_token(mini_vocab, tmp_path):
     merge_at = lines.index("#MERGES")
     assert merge_at == mini_vocab.size
     assert lines[:5] == tok.SPECIAL_TOKENS
+    assert lines[-1] == "#PRETOKENIZE whitespace"
+
+
+def test_vocab_file_naming_another_mode_rejected(tmp_path):
+    path = tmp_path / "vocab.txt"
+    tok.save_vocab(tok.train_bpe(["ba lo ba lo"], 20), path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("#PRETOKENIZE whitespace", "#PRETOKENIZE character"),
+                    encoding="utf-8")
+    with pytest.raises(DataError, match="unknown pretokenize mode 'character'"):
+        tok.load_vocab(path)
+
+
+def test_vocab_file_merge_of_missing_token_rejected(tmp_path):
+    path = tmp_path / "vocab.txt"
+    vocab = tok.train_bpe(["ba lo ba lo"], 20)
+    assert ("lo", "</w>") in vocab.merges
+    tok.save_vocab(vocab, path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines.remove("lo</w>")  # the merge lo + </w> now makes a string that is no token
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"{path}: merge 'lo' '</w>'")):
+        tok.load_vocab(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_or_truncated_vocab_file_loads_or_raises_data_error(vocab_blob, tmp_path_factory,
+                                                                     data):
+    blob = bytearray(vocab_blob)
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    path = tmp_path_factory.getbasetemp() / "fuzzed_vocab.txt"
+    path.write_bytes(bytes(blob))
+    try:
+        vocab = tok.load_vocab(path)
+    except DataError:
+        return
+    tok.decode(tok.encode("ba lo mì", vocab), vocab)  # a vocabulary that loads also works
 
 
 @settings(deadline=None, max_examples=30)

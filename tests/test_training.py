@@ -11,12 +11,11 @@ from warmsum.errors import DataError, NumericError
 from warmsum.model import ModelConfig
 from warmsum.synthetic import SyntheticSettings, generate_corpus
 from warmsum.tokenizer import MASK, PAD, encode, train_bpe
-from warmsum.training import (MetricsLog, OptimizerState, TrainConfig, _mask_batch,
-                              adam_step, encode_pairs, evaluate_mlm, finetune, frame_ids,
-                              lr_at, pad_batch, pretrain_mlm, unigram_entropy)
+from warmsum.training import (GRADIENT_CLIP_NORM, MetricsLog, OptimizerState, TrainConfig,
+                              _mask_batch, adam_step, encode_pairs, evaluate_mlm, finetune,
+                              frame_ids, lr_at, pad_batch, pretrain_mlm, unigram_entropy)
 
-CFG = TrainConfig(learning_rate=0.1, warmup_steps=10, total_steps=100,
-                  gradient_clip_norm=math.inf)
+CFG = TrainConfig(learning_rate=0.1, warmup_steps=10, total_steps=100)
 
 
 def _param(value, name="p"):
@@ -49,14 +48,13 @@ def test_adam_zero_gradient_keeps_params():
 
 
 def test_adam_global_norm_clipping_halves_gradient():
-    cfg = TrainConfig(learning_rate=0.1, warmup_steps=10, total_steps=100,
-                      gradient_clip_norm=0.5)
+    assert GRADIENT_CLIP_NORM == 1.0
     params = _param([0.0, 0.0])
-    params["p"].grad = np.array([0.6, 0.8])  # norm 1.0 -> scaled by 0.5
+    params["p"].grad = np.array([1.2, 1.6])  # norm 2.0 -> scaled by 0.5
     state = OptimizerState.for_params(params)
-    adam_step(params, state, cfg)
-    assert np.allclose(state.m["p"], 0.1 * np.array([0.3, 0.4]))
-    assert np.allclose(state.v["p"], 0.001 * np.array([0.3, 0.4]) ** 2)
+    adam_step(params, state, CFG)
+    assert np.allclose(state.m["p"], 0.1 * np.array([0.6, 0.8]))
+    assert np.allclose(state.v["p"], 0.001 * np.array([0.6, 0.8]) ** 2)
 
 
 def test_adam_rejects_nan_gradient_naming_parameter():
@@ -80,8 +78,6 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1e-3)
     with pytest.raises(DataError):
         TrainConfig(batch_size=0)
-    with pytest.raises(DataError):
-        TrainConfig(mlm_mask_prob=1.0)
     TrainConfig(learning_rate=0.0)  # zero lr is a valid no-op configuration
 
 
