@@ -18,6 +18,7 @@ from .decoding import beam_search, greedy_decode_batch
 from .errors import DataError, NumericError
 from .experiment import (ExperimentConfig, config_to_json, load_config, load_results,
                          run_experiment)
+from .fileio import write_atomic
 from .model import EncoderDecoderModel
 from .rouge import corpus_rouge, pair_rouge
 from .training import MetricsLog, finetune, frame_ids, pretrain_mlm
@@ -98,6 +99,8 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.max_src_len is not None and args.max_src_len < 2:
+        args.usage_error(f"--max-src-len {args.max_src_len} is below 2, the room for BOS and EOS")
     ckpt = load_checkpoint(args.ckpt)
     vocab = tok.load_vocab(args.vocab)
     model = EncoderDecoderModel.from_checkpoint(ckpt).eval()
@@ -108,8 +111,7 @@ def _cmd_generate(args) -> int:
         outs = greedy_decode_batch(model, srcs, args.max_len)
     else:
         outs = [beam_search(model, s, args.beam_size, args.max_len, args.alpha) for s in srcs]
-    text = "\n".join(tok.decode(list(o), vocab) for o in outs) + "\n"
-    Path(args.out).write_text(text, encoding="utf-8")
+    write_atomic(args.out, "".join(tok.decode(list(o), vocab) + "\n" for o in outs))
     print(f"wrote {len(outs)} summaries -> {args.out}")
     return 0
 
@@ -141,7 +143,7 @@ def _cmd_evaluate(args) -> int:
         for name in ("rouge1", "rouge2", "rougeL"):
             s = scores[name]
             lines.append(f"aggregate,{name},{s.precision:.6f},{s.recall:.6f},{s.f1:.6f}")
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_atomic(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -162,7 +164,7 @@ def _cmd_stats(args) -> int:
     name = args.name or Path(args.corpus).stem
     sys.stdout.write(corpus_mod.render_stats_table(stats, name))
     if args.csv:
-        Path(args.csv).write_text(corpus_mod.stats_csv(stats, name), encoding="utf-8")
+        write_atomic(args.csv, corpus_mod.stats_csv(stats, name))
     return 0
 
 

@@ -5,7 +5,8 @@ penalty ((5 + len) / 6) ** alpha, where len counts tokens generated after
 BOS. During search, same-length candidates are ranked by raw log-probability
 with ties broken by lexicographically smallest token ids, so beam_size 1
 with alpha 0 reproduces greedy decoding exactly. PAD and BOS can never be
-generated; a hypothesis finishes on EOS or at max_len.
+generated; a hypothesis finishes on EOS or at max_len. Both searches feed the
+decoder one new token per row and step through a `model.DecoderCache`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DataError
-from .model import EncoderDecoderModel, pad_mask_from_ids
+from .model import DecoderCache, EncoderDecoderModel, pad_mask_from_ids
 from .tokenizer import BOS, EOS, PAD
 
 BANNED_GENERATION_IDS = (PAD, BOS)
@@ -49,10 +50,10 @@ def _check_max_len(model: EncoderDecoderModel, max_len: int) -> None:
                         f"{model.config.max_positions} (minus BOS)")
 
 
-def _last_logits(model: EncoderDecoderModel, prefixes: np.ndarray,
-                 memory: T.Tensor, src_real: np.ndarray) -> np.ndarray:
-    logits = model.decode_logits(prefixes, memory, src_real)
-    return logits.data[:, -1, :]
+def _step_logits(model: EncoderDecoderModel, tokens: np.ndarray, memory: T.Tensor,
+                 src_real: np.ndarray, cache: DecoderCache) -> np.ndarray:
+    """Logits [B, V] after feeding each row's newest token through the cache."""
+    return model.decode_logits(tokens[:, None], memory, src_real, cache=cache).data[:, -1, :]
 
 
 def _log_softmax(rows: np.ndarray) -> np.ndarray:
@@ -80,18 +81,19 @@ def _greedy_chunk(model: EncoderDecoderModel, srcs: list[list[int]],
     memory = model.encode(src)
 
     b = len(srcs)
-    prefixes = np.full((b, 1), BOS, dtype=np.int64)
+    cache = DecoderCache()
+    steps = [np.full(b, BOS, dtype=np.int64)]
     done = np.zeros(b, dtype=bool)
     for _ in range(max_len):
-        last = _last_logits(model, prefixes, memory, src_real)
+        last = _step_logits(model, steps[-1], memory, src_real, cache)
         last[:, list(BANNED_GENERATION_IDS)] = -np.inf
         nxt = np.argmax(last, axis=-1)
         nxt[done] = PAD
-        prefixes = np.concatenate([prefixes, nxt[:, None]], axis=1)
+        steps.append(nxt)
         done |= nxt == EOS
         if done.all():
             break
-    return [row[row != PAD] for row in prefixes]
+    return [row[row != PAD] for row in np.stack(steps, axis=1)]
 
 
 def greedy_decode(model: EncoderDecoderModel, src: list[int], max_len: int) -> np.ndarray:
@@ -107,6 +109,12 @@ def beam_search(model: EncoderDecoderModel, src: list[int], beam_size: int,
 
 def beam_search_hypothesis(model: EncoderDecoderModel, src: list[int], beam_size: int,
                            max_len: int, length_penalty_alpha: float = 1.0) -> BeamHypothesis:
+    """Keep the beam_size best (beam, token) candidates per step, one decoder cache for all.
+
+    Candidates are ranked by raw log-probability, ties to the lexicographically
+    smallest ids. Every active row has the same length, so that is the rank of
+    the parent's ids, then the token.
+    """
     if beam_size < 1:
         raise DataError(f"beam_size must be >= 1, got {beam_size}")
     _check_max_len(model, max_len)
@@ -114,35 +122,33 @@ def beam_search_hypothesis(model: EncoderDecoderModel, src: list[int], beam_size
     src_arr = np.asarray([src], dtype=np.int64)
     src_real = pad_mask_from_ids(src_arr)
     memory = model.encode(src_arr)
-    memory_data = memory.data
 
-    active = [BeamHypothesis((BOS,), 0.0, False)]
+    cache = DecoderCache()
+    ids = np.full((1, 1), BOS, dtype=np.int64)  # active hypotheses, BOS-prefixed
+    logprob = np.zeros(1)
     completed: list[BeamHypothesis] = []
     for step in range(1, max_len + 1):
-        prefixes = np.asarray([h.ids for h in active], dtype=np.int64)
-        k = len(active)
-        mem_k = T.Tensor(np.broadcast_to(memory_data, (k,) + memory_data.shape[1:]).copy())
-        real_k = np.broadcast_to(src_real, (k, src_real.shape[1]))
-        logp = _log_softmax(_last_logits(model, prefixes, mem_k, real_k))
+        logp = _log_softmax(_step_logits(model, ids[:, -1], memory, src_real, cache))
         logp[:, list(BANNED_GENERATION_IDS)] = -np.inf
+        scores = logprob[:, None] + logp
+        parent_rank = np.empty(len(ids), dtype=np.int64)
+        parent_rank[np.lexsort(ids.T[::-1])] = np.arange(len(ids))
+        parent, token = np.nonzero(scores != -np.inf)
+        cand = scores[parent, token]
+        order = np.lexsort((token, parent_rank[parent], -cand))[:beam_size]
+        parent, token, cand = parent[order], token[order], cand[order]
 
-        candidates = []
-        for i, hyp in enumerate(active):
-            for tok in range(logp.shape[1]):
-                lp = logp[i, tok]
-                if lp == -np.inf:
-                    continue
-                candidates.append(BeamHypothesis(hyp.ids + (tok,), hyp.logprob + lp,
-                                                 tok == EOS or step == max_len))
-        candidates.sort(key=lambda h: (-h.logprob, h.ids))
-        selected = candidates[:beam_size]
-        active = [h for h in selected if not h.finished]
-        completed.extend(h for h in selected if h.finished)
-        if not active:
+        finished = (token == EOS) | (step == max_len)
+        for p, t, lp in zip(parent[finished], token[finished], cand[finished]):
+            completed.append(BeamHypothesis((*ids[p].tolist(), int(t)), float(lp), True))
+        keep = ~finished
+        if not keep.any():
             break
-    pool = completed if completed else active
-    pool.sort(key=lambda h: (-adjusted_score(h, length_penalty_alpha), h.ids))
-    return pool[0]
+        cache.reorder(parent[keep])
+        ids = np.concatenate([ids[parent[keep]], token[keep, None]], axis=1)
+        logprob = cand[keep]
+    completed.sort(key=lambda h: (-adjusted_score(h, length_penalty_alpha), h.ids))
+    return completed[0]
 
 
 def sequence_logprob(model: EncoderDecoderModel, src: list[int], seq: list[int]) -> float:

@@ -126,9 +126,35 @@ def _key_mask(real: np.ndarray) -> np.ndarray:
     return np.where(real, 0.0, NEG_INF)[:, None, None, :]
 
 
-def _causal_mask(length: int) -> np.ndarray:
-    m = np.triu(np.full((length, length), NEG_INF), k=1)
+def _causal_mask(length: int, start: int = 0) -> np.ndarray:
+    # queries are positions start..start+length-1; keys are positions 0..start+length-1
+    m = np.triu(np.full((length, start + length), NEG_INF), k=start + 1)
     return m[None, None, :, :]
+
+
+class DecoderCache:
+    """Keys and values of an incremental decode, per attention sublayer.
+
+    Pass one to `EncoderDecoderModel.decode_logits` with only the newest
+    positions of each row. The first call projects every layer's
+    cross-attention keys and values from the encoder memory and keeps the
+    source mask; later calls reuse them and ignore `memory` and
+    `src_pad_mask`. Self-attention entries grow by the positions of each call.
+    Inference only: cached arrays carry no graph, so a cached call while a
+    tape is active raises.
+    """
+
+    def __init__(self):
+        self.length = 0  # decoder positions cached so far
+        self.kv: dict[str, tuple[T.Tensor, T.Tensor]] = {}
+        self.cross_mask: np.ndarray | None = None
+
+    def reorder(self, rows: np.ndarray) -> None:
+        """Keep, in order, the given batch rows (a row may repeat), e.g. a beam's parents."""
+        self.kv = {p: (T.Tensor(k.data[rows]), T.Tensor(v.data[rows]))
+                   for p, (k, v) in self.kv.items()}
+        if self.cross_mask is not None:
+            self.cross_mask = self.cross_mask[rows]
 
 
 class _Forward:
@@ -157,10 +183,24 @@ class _Forward:
         return T.transpose(x, (0, 2, 1, 3))
 
     def attention(self, prefix: str, x_q: T.Tensor, x_kv: T.Tensor,
-                  add_mask: np.ndarray | None) -> T.Tensor:
+                  add_mask: np.ndarray | None, cache: DecoderCache | None = None) -> T.Tensor:
+        """Multi-head attention of x_q over x_kv; x_kv is x_q for self-attention.
+
+        With a cache, self-attention appends this call's keys and values to the
+        cached ones, and cross-attention projects x_kv on the first call only.
+        """
         q = self._heads(self.linear(f"{prefix}.q", x_q))
-        k = self._heads(self.linear(f"{prefix}.k", x_kv))
-        v = self._heads(self.linear(f"{prefix}.v", x_kv))
+        cached = cache.kv.get(prefix) if cache is not None else None
+        if cached is not None and x_kv is not x_q:
+            k, v = cached
+        else:
+            k = self._heads(self.linear(f"{prefix}.k", x_kv))
+            v = self._heads(self.linear(f"{prefix}.v", x_kv))
+            if cached is not None:
+                k = T.Tensor(np.concatenate([cached[0].data, k.data], axis=2))
+                v = T.Tensor(np.concatenate([cached[1].data, v.data], axis=2))
+            if cache is not None:
+                cache.kv[prefix] = (k, v)
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
                          1.0 / np.sqrt(self.cfg.head_dim))
         if add_mask is not None:
@@ -177,13 +217,15 @@ class _Forward:
     def sublayer(self, prefix: str, x: T.Tensor, out: T.Tensor) -> T.Tensor:
         return self.norm(f"{prefix}.norm", T.add(x, self.drop(out)))
 
-    def embed(self, prefix: str, ids: np.ndarray) -> T.Tensor:
+    def embed(self, prefix: str, ids: np.ndarray, start: int = 0) -> T.Tensor:
+        """Token plus position embeddings; the first column is position `start`."""
         b, l = ids.shape
-        if l > self.cfg.max_positions:
-            raise DataError(f"sequence length {l} exceeds max_positions {self.cfg.max_positions}")
+        if start + l > self.cfg.max_positions:
+            raise DataError(f"sequence length {start + l} exceeds max_positions "
+                            f"{self.cfg.max_positions}")
         x = T.embedding_lookup(self.p[f"{prefix}.embed.token"], ids)
         pos = T.embedding_lookup(self.p[f"{prefix}.embed.position"],
-                                 np.broadcast_to(np.arange(l), (b, l)))
+                                 np.broadcast_to(np.arange(start, start + l), (b, l)))
         return self.drop(self.norm(f"{prefix}.embed.norm", T.add(x, pos)))
 
     def encoder_stack(self, src_ids: np.ndarray, src_real: np.ndarray) -> T.Tensor:
@@ -196,18 +238,29 @@ class _Forward:
             x = self.sublayer(f"{base}.ff", x, self.feed_forward(f"{base}.ff", x))
         return x
 
-    def decoder_stack(self, tgt_ids: np.ndarray, memory: T.Tensor,
-                      src_real: np.ndarray) -> T.Tensor:
-        causal = _causal_mask(tgt_ids.shape[1])
-        cross_mask = _key_mask(src_real)
-        x = self.embed("decoder", tgt_ids)
+    def decoder_stack(self, tgt_ids: np.ndarray, memory: T.Tensor, src_real: np.ndarray,
+                      cache: DecoderCache | None = None) -> T.Tensor:
+        """Decoder states of tgt_ids; with a cache, tgt_ids are the positions after it."""
+        if cache is None:
+            start, cross_mask = 0, _key_mask(src_real)
+        else:
+            if T.recording():
+                raise RuntimeError("a decoder cache is for inference only; "
+                                   "cached keys and values carry no graph")
+            if cache.cross_mask is None:
+                cache.cross_mask = _key_mask(src_real)
+            start, cross_mask = cache.length, cache.cross_mask
+        causal = _causal_mask(tgt_ids.shape[1], start)
+        x = self.embed("decoder", tgt_ids, start)
         for i in range(self.cfg.n_dec_layers):
             base = f"decoder.layer.{i}"
             x = self.sublayer(f"{base}.self_attn", x,
-                              self.attention(f"{base}.self_attn", x, x, causal))
+                              self.attention(f"{base}.self_attn", x, x, causal, cache))
             x = self.sublayer(f"{base}.cross_attn", x,
-                              self.attention(f"{base}.cross_attn", x, memory, cross_mask))
+                              self.attention(f"{base}.cross_attn", x, memory, cross_mask, cache))
             x = self.sublayer(f"{base}.ff", x, self.feed_forward(f"{base}.ff", x))
+        if cache is not None:
+            cache.length = start + tgt_ids.shape[1]
         return x
 
 
@@ -250,11 +303,17 @@ class EncoderDecoderModel(_Model):
         fwd = _Forward(self.params, self.config, self._rng)
         return fwd.encoder_stack(src_ids, pad_mask_from_ids(src_ids))
 
-    def decode_logits(self, tgt_ids: np.ndarray, memory: T.Tensor,
-                      src_pad_mask: np.ndarray) -> T.Tensor:
+    def decode_logits(self, tgt_ids: np.ndarray, memory: T.Tensor, src_pad_mask: np.ndarray,
+                      cache: DecoderCache | None = None) -> T.Tensor:
+        """Logits [B, L, V] for the positions of tgt_ids.
+
+        Without a cache tgt_ids is the whole prefix. With a `DecoderCache`
+        tgt_ids holds only the positions after those already cached, and the
+        cache grows by them.
+        """
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
         fwd = _Forward(self.params, self.config, self._rng)
-        h = fwd.decoder_stack(tgt_ids, memory, np.asarray(src_pad_mask))
+        h = fwd.decoder_stack(tgt_ids, memory, np.asarray(src_pad_mask), cache)
         return T.matmul(h, T.transpose(self.output_matrix))
 
     def forward_loss(self, src_ids: np.ndarray, tgt_ids: np.ndarray) -> T.Tensor:

@@ -105,6 +105,11 @@ class Tape:
         self._nodes.append((out, inputs, backward_fn))
 
 
+def recording() -> bool:
+    """Whether a tape is active, so that ops may record a graph."""
+    return _ACTIVE_TAPE is not None
+
+
 def backward(loss: Tensor) -> None:
     """Populate grads of every needs-grad ancestor of a scalar loss."""
     if loss.data.ndim != 0:

@@ -39,9 +39,17 @@ class TokenSequence:
 
 @dataclass
 class Vocabulary:
+    """Tokens (line number = id) and merges in training order; treat as immutable.
+
+    `encode` fills `_word_ids`, the ids of each word it has seen, so that a
+    word is merged once per vocabulary.
+    """
+
     id_to_token: list[str]
     merges: list[tuple[str, str]]
     token_to_id: dict[str, int] = field(init=False, repr=False)
+    _word_ids: dict[str, list[int]] = field(init=False, repr=False, compare=False,
+                                            default_factory=dict)
 
     def __post_init__(self):
         self.token_to_id = {}
@@ -60,9 +68,14 @@ class Vocabulary:
         return len(self.id_to_token)
 
 
+def _symbols(word: str) -> list[str]:
+    """The symbol sequence that merges operate on: characters, then the word end."""
+    return list(word) + [WORD_END]
+
+
 def _pretokenize(text: str) -> list[list[str]]:
-    """Split normalized text into the symbol sequences that merges operate on."""
-    return [list(w) + [WORD_END] for w in normalize_text(text).split()]
+    """Split normalized text into the symbol sequences of its words."""
+    return [_symbols(w) for w in normalize_text(text).split()]
 
 
 def train_bpe(corpus: Iterable[str], target_vocab_size: int) -> Vocabulary:
@@ -125,12 +138,15 @@ def _apply_merge(syms: list[str], pair: tuple[str, str], merged: str) -> list[st
 def encode(text: str, vocab: Vocabulary) -> TokenSequence:
     """Greedy merge application in training order; unknown symbols become UNK."""
     ids: list[int] = []
-    lookup = vocab.token_to_id
-    for unit in _pretokenize(text):
-        syms = unit
-        for pair in vocab.merges:
-            syms = _apply_merge(syms, pair, pair[0] + pair[1])
-        ids.extend(lookup.get(s, UNK) for s in syms)
+    cache = vocab._word_ids
+    for word in normalize_text(text).split():
+        word_ids = cache.get(word)
+        if word_ids is None:
+            syms = _symbols(word)
+            for pair in vocab.merges:
+                syms = _apply_merge(syms, pair, pair[0] + pair[1])
+            word_ids = cache[word] = [vocab.token_to_id.get(s, UNK) for s in syms]
+        ids.extend(word_ids)
     return TokenSequence(ids)
 
 

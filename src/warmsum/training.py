@@ -38,10 +38,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        positive = ("warmup_steps", "total_steps", "batch_size", "max_src_len", "max_tgt_len")
-        for name in positive:
+        for name in ("warmup_steps", "total_steps", "batch_size"):
             if not getattr(self, name) > 0:
                 raise DataError(f"TrainConfig.{name} must be positive")
+        for name in ("max_src_len", "max_tgt_len"):  # a window holds at least BOS and EOS
+            if not getattr(self, name) >= 2:
+                raise DataError(f"TrainConfig.{name} must be at least 2")
         if self.learning_rate < 0:  # zero is allowed: a no-op run must stay bit-identical
             raise DataError("TrainConfig.learning_rate must be non-negative")
 
@@ -115,6 +117,8 @@ def pad_batch(seqs: list[list[int]], length: int | None = None) -> np.ndarray:
 
 def frame_ids(ids: list[int], max_len: int) -> list[int]:
     """BOS + head-truncated ids + EOS, never longer than max_len."""
+    if max_len < 2:
+        raise DataError(f"a window of {max_len} cannot hold BOS and EOS")
     return [BOS] + ids[:max_len - 2] + [EOS]
 
 

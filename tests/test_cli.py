@@ -267,7 +267,9 @@ def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
     assert f"{cand}: not valid UTF-8" in capsys.readouterr().err
 
 
-def test_generate_non_utf8_input_exits_2(tmp_path, capsys):
+@pytest.fixture
+def generate_args(tmp_path):
+    """`generate` arguments for a random model and its vocabulary, minus --input."""
     from warmsum.assembly import AssemblyMode, assemble, save_checkpoint
     from warmsum.model import ModelConfig
     from warmsum.tokenizer import save_vocab, train_bpe
@@ -277,12 +279,53 @@ def test_generate_non_utf8_input_exits_2(tmp_path, capsys):
     cfg = ModelConfig(vocab.size, d_model=8, n_heads=2, d_ff=8, n_enc_layers=1,
                       n_dec_layers=1, max_positions=16, dropout=0.0)
     save_checkpoint(assemble(None, AssemblyMode.RND2RND, cfg, seed=1), tmp_path / "m.ckpt")
+    return ["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--vocab",
+            str(tmp_path / "vocab.txt"), "--out", str(tmp_path / "out.txt"), "--max-len", "4"]
+
+
+def test_generate_non_utf8_input_exits_2(tmp_path, capsys, generate_args):
     bodies = tmp_path / "in.txt"
     bodies.write_bytes(b"ba \xff lo\n")
-    assert main(["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--vocab",
-                 str(tmp_path / "vocab.txt"), "--input", str(bodies),
-                 "--out", str(tmp_path / "out.txt")]) == 2
+    assert main([*generate_args, "--input", str(bodies)]) == 2
     assert f"{bodies}: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["greedy", "beam"])
+def test_generate_empty_input_writes_an_empty_file(tmp_path, generate_args, method):
+    bodies = tmp_path / "in.txt"
+    bodies.write_text("", encoding="utf-8")
+    assert main([*generate_args, "--input", str(bodies), "--method", method]) == 0
+    assert (tmp_path / "out.txt").read_bytes() == b""
+
+
+def test_generate_failed_write_keeps_the_old_output(tmp_path, monkeypatch, generate_args):
+    import warmsum.fileio
+
+    bodies = tmp_path / "in.txt"
+    bodies.write_text("ba lo\nlo ba\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    out.write_text("old\n", encoding="utf-8")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(warmsum.fileio.os, "replace", fail)
+    with pytest.raises(OSError):
+        main([*generate_args, "--input", str(bodies)])
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "m.ckpt", "out.txt",
+                                                          "vocab.txt"]
+
+
+@pytest.mark.parametrize("window", ["1", "0", "-1"])
+def test_generate_max_src_len_below_2_is_a_usage_error(tmp_path, capsys, generate_args,
+                                                       window):
+    bodies = tmp_path / "in.txt"
+    bodies.write_text("ba lo\n", encoding="utf-8")
+    assert main([*generate_args, "--input", str(bodies), "--max-src-len", window]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: warmsum generate") and f"--max-src-len {window} is" in err
+    assert not (tmp_path / "out.txt").exists()
 
 
 def test_stats_ratios_that_are_not_numbers_are_a_usage_error(capsys):

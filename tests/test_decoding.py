@@ -11,9 +11,9 @@ from warmsum.model import EncoderDecoderModel, ModelConfig
 from warmsum.tokenizer import BOS, EOS, PAD
 
 
-def random_model(seed, vocab_size=12, max_positions=16):
+def random_model(seed, vocab_size=12, max_positions=16, layers=1):
     cfg = ModelConfig(vocab_size=vocab_size, d_model=8, n_heads=2, d_ff=16,
-                      n_enc_layers=1, n_dec_layers=1, max_positions=max_positions,
+                      n_enc_layers=layers, n_dec_layers=layers, max_positions=max_positions,
                       dropout=0.0)
     return EncoderDecoderModel.from_checkpoint(
         assemble(None, AssemblyMode.RND2RND, cfg, seed=seed))
@@ -45,7 +45,7 @@ class ScriptedModel:
         b, l = np.asarray(src_ids).shape
         return T.Tensor(np.zeros((b, l, self.config.d_model)))
 
-    def decode_logits(self, tgt_ids, memory, src_pad_mask):
+    def decode_logits(self, tgt_ids, memory, src_pad_mask, cache=None):
         tgt_ids = np.asarray(tgt_ids)
         b, l = tgt_ids.shape
         out = np.zeros((b, l, self.vocab_size))
@@ -123,6 +123,19 @@ def test_greedy_batch_matches_single():
     singles = [greedy_decode(model, s, max_len=8) for s in srcs]
     for b, s in zip(batch, singles):
         assert np.array_equal(b, s)
+
+
+def test_greedy_tokens_are_the_teacher_forced_argmax():
+    rng = np.random.default_rng(11)
+    for seed in range(8):
+        model = random_model(seed + 80, vocab_size=16, layers=2)
+        srcs = [random_src(rng, vocab_size=16, length=n) for n in (3, 10, 6, 4)]
+        for src, out in zip(srcs, greedy_decode_batch(model, srcs, max_len=9)):
+            src_arr = np.asarray([src])
+            logits = model.decode_logits(out[None, :-1], model.encode(src_arr),
+                                         src_arr != PAD).data[0]
+            logits[:, list(BANNED_GENERATION_IDS)] = -np.inf
+            assert out[1:].tolist() == np.argmax(logits, axis=-1).tolist(), f"seed {seed}"
 
 
 def test_greedy_rejects_overlong_max_len():
@@ -207,6 +220,15 @@ def test_rescoring_reproduces_hypothesis_logprob():
         hyp = beam_search_hypothesis(model, src, beam_size=4, max_len=6)
         rescored = sequence_logprob(model, src, list(hyp.ids))
         assert abs(rescored - hyp.logprob) < 1e-8
+
+
+def test_beam_logprob_is_the_teacher_forced_logprob():
+    rng = np.random.default_rng(12)
+    for seed in range(8):
+        model = random_model(seed + 90, vocab_size=16, layers=2)
+        src = random_src(rng, vocab_size=16, length=3 + seed)
+        hyp = beam_search_hypothesis(model, src, beam_size=4, max_len=9)
+        assert abs(sequence_logprob(model, src, list(hyp.ids)) - hyp.logprob) < 1e-12
 
 
 def test_beam_hypothesis_invariants():

@@ -5,8 +5,8 @@ from gradcheck import fd_grad_components, rel_err
 from warmsum import tensor as T
 from warmsum.assembly import AssemblyMode, assemble
 from warmsum.errors import DataError, ShapeMismatchError
-from warmsum.model import (EncoderDecoderModel, EncoderMlm, ModelConfig, _Forward,
-                           expected_param_shapes, validate_params)
+from warmsum.model import (DecoderCache, EncoderDecoderModel, EncoderMlm, ModelConfig,
+                           _Forward, expected_param_shapes, validate_params)
 from warmsum.tokenizer import BOS, EOS, PAD
 
 TINY = ModelConfig(vocab_size=20, d_model=8, n_heads=2, d_ff=16,
@@ -126,6 +126,74 @@ def test_tied_logits_are_hidden_times_embedding_transpose():
     manual = hidden.data @ model.params["decoder.embed.token"].data.T
     assert np.array_equal(logits.data, manual)
     assert model.output_matrix is model.params["decoder.embed.token"]
+
+
+def padded_sources(rng, lengths, config=TINY):
+    """A batch of BOS ... EOS sources of the given lengths, PAD-filled to the longest."""
+    src = np.full((len(lengths), max(lengths)), PAD)
+    for i, n in enumerate(lengths):
+        src[i, :n] = [BOS, *rng.integers(5, config.vocab_size, size=n - 2), EOS]
+    return src
+
+
+def test_cached_logits_match_full_prefix():
+    rng = np.random.default_rng(20)
+    for seed in range(5):
+        model = tiny_model(seed=seed).eval()
+        src = padded_sources(rng, [3, 9, 6])
+        real = src != PAD
+        memory = model.encode(src)
+        tgt = rng.integers(5, TINY.vocab_size, size=(3, 8))
+        tgt[:, 0] = BOS
+        cache = DecoderCache()
+        # a first call of three positions, then one position per call
+        cached = [model.decode_logits(tgt[:, :3], memory, real, cache=cache).data]
+        for t in range(3, tgt.shape[1]):
+            cached.append(model.decode_logits(tgt[:, t:t + 1], memory, real, cache=cache).data)
+        assert cache.length == tgt.shape[1]
+        full = model.decode_logits(tgt, memory, real).data
+        assert np.max(np.abs(np.concatenate(cached, axis=1) - full)) < 1e-12, f"seed {seed}"
+
+
+def test_reordered_cache_matches_a_cache_rebuilt_from_the_selected_prefixes():
+    rng = np.random.default_rng(21)
+    model = tiny_model(seed=11).eval()
+    src = padded_sources(rng, [4, 8, 5])
+    real = src != PAD
+    memory = model.encode(src)
+    prefixes = rng.integers(5, TINY.vocab_size, size=(3, 4))
+    prefixes[:, 0] = BOS
+    cache = DecoderCache()
+    for t in range(prefixes.shape[1]):
+        model.decode_logits(prefixes[:, t:t + 1], memory, real, cache=cache)
+    rows = np.array([2, 0, 0, 1])
+    cache.reorder(rows)
+    nxt = rng.integers(5, TINY.vocab_size, size=(4, 1))
+    got = model.decode_logits(nxt, memory, real, cache=cache).data
+
+    rebuilt = DecoderCache()
+    model.decode_logits(prefixes[rows], T.Tensor(memory.data[rows]), real[rows], cache=rebuilt)
+    expect = model.decode_logits(nxt, memory, real, cache=rebuilt).data
+    assert np.max(np.abs(got - expect)) < 1e-12
+
+
+def test_cached_call_on_an_active_tape_raises():
+    model = tiny_model(seed=12)
+    src = np.array([[BOS, 6, 7, EOS]])
+    memory = model.encode(src)
+    with T.Tape():
+        with pytest.raises(RuntimeError, match="inference only"):
+            model.decode_logits(np.array([[BOS]]), memory, src != PAD, cache=DecoderCache())
+
+
+def test_cached_positions_past_max_positions_rejected():
+    model = tiny_model(seed=13).eval()
+    src = np.array([[BOS, 6, EOS]])
+    memory = model.encode(src)
+    cache = DecoderCache()
+    model.decode_logits(np.full((1, TINY.max_positions), 6), memory, src != PAD, cache=cache)
+    with pytest.raises(DataError, match="max_positions"):
+        model.decode_logits(np.array([[6]]), memory, src != PAD, cache=cache)
 
 
 def test_random_model_logits_finite():

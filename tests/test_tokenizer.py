@@ -62,6 +62,25 @@ def test_round_trip_on_mini_corpus(mini_lines, mini_vocab):
         assert tok.decode(seq, mini_vocab) == tok.normalize_text(line)
 
 
+def test_word_cache_keeps_ids_equality_and_repr(mini_lines):
+    vocab = tok.train_bpe(mini_lines, 220)
+    fresh = tok.Vocabulary(list(vocab.id_to_token), list(vocab.merges))
+
+    def reference(line):  # every merge applied to every word, nothing cached
+        ids = []
+        for syms in tok._pretokenize(line):
+            for pair in vocab.merges:
+                syms = tok._apply_merge(syms, pair, pair[0] + pair[1])
+            ids.extend(vocab.token_to_id.get(s, tok.UNK) for s in syms)
+        return ids
+
+    for _ in range(2):  # the second pass reads every word from the cache
+        for line in mini_lines + ["xyz cà phê cà"]:
+            assert tok.encode(line, vocab).ids == reference(line)
+    assert vocab._word_ids
+    assert vocab == fresh and repr(vocab) == repr(fresh)
+
+
 def test_unknown_symbol_becomes_unk():
     vocab = tok.train_bpe(["ab ab abc"], 30)
     seq = tok.encode("abz", vocab)

@@ -78,7 +78,11 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1e-3)
     with pytest.raises(DataError):
         TrainConfig(batch_size=0)
+    for window in ({"max_src_len": 1}, {"max_tgt_len": 1}, {"max_tgt_len": 0}):
+        with pytest.raises(DataError, match="at least 2"):
+            TrainConfig(**window)
     TrainConfig(learning_rate=0.0)  # zero lr is a valid no-op configuration
+    TrainConfig(max_src_len=2, max_tgt_len=2)  # BOS and EOS alone
 
 
 def test_pad_batch_and_framing():
@@ -88,6 +92,10 @@ def test_pad_batch_and_framing():
     assert len(framed) == 10
     assert framed[0] == 2 and framed[-1] == 3
     assert framed[1:-1] == list(range(100, 108))  # head truncation
+    assert frame_ids([10, 11, 12, 13], 2) == [2, 3]
+    for window in (1, 0, -1):
+        with pytest.raises(DataError):
+            frame_ids([10, 11, 12, 13], window)
 
 
 def test_encode_pairs_respects_truncation_limits():
