@@ -259,7 +259,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd**3)
+    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(inner)
     out = 0.5 * xd * (1.0 + t)
 
