@@ -172,15 +172,13 @@ class _Forward:
         return T.dropout(x, self.cfg.dropout, self.rng)
 
     def linear(self, name: str, x: T.Tensor) -> T.Tensor:
-        return T.add(T.matmul(x, self.p[f"{name}.weight"]), self.p[f"{name}.bias"])
+        return T.linear(x, self.p[f"{name}.weight"], self.p[f"{name}.bias"])
 
-    def norm(self, name: str, x: T.Tensor) -> T.Tensor:
-        return T.layer_norm(x, self.p[f"{name}.gain"], self.p[f"{name}.bias"], LN_EPS)
+    def add_norm(self, name: str, x: T.Tensor, y: T.Tensor) -> T.Tensor:
+        return T.add_layer_norm(x, y, self.p[f"{name}.gain"], self.p[f"{name}.bias"], LN_EPS)
 
     def _heads(self, x: T.Tensor) -> T.Tensor:
-        b, l, _ = x.shape
-        x = T.reshape(x, (b, l, self.cfg.n_heads, self.cfg.head_dim))
-        return T.transpose(x, (0, 2, 1, 3))
+        return T.split_heads(x, self.cfg.n_heads)
 
     def attention(self, prefix: str, x_q: T.Tensor, x_kv: T.Tensor,
                   add_mask: np.ndarray | None, cache: DecoderCache | None = None) -> T.Tensor:
@@ -201,21 +199,14 @@ class _Forward:
                 v = T.Tensor(np.concatenate([cached[1].data, v.data], axis=2))
             if cache is not None:
                 cache.kv[prefix] = (k, v)
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                         1.0 / np.sqrt(self.cfg.head_dim))
-        if add_mask is not None:
-            scores = T.add_const(scores, add_mask)
-        attn = self.drop(T.softmax(scores, axis=-1))
-        ctx = T.transpose(T.matmul(attn, v), (0, 2, 1, 3))
-        b, l = ctx.shape[0], ctx.shape[1]
-        ctx = T.reshape(ctx, (b, l, self.cfg.d_model))
-        return self.linear(f"{prefix}.o", ctx)
+        attn = self.drop(T.attention_probs(q, k, 1.0 / np.sqrt(self.cfg.head_dim), add_mask))
+        return self.linear(f"{prefix}.o", T.merge_heads(T.matmul(attn, v)))
 
     def feed_forward(self, prefix: str, x: T.Tensor) -> T.Tensor:
         return self.linear(f"{prefix}.out", T.gelu(self.linear(f"{prefix}.in", x)))
 
     def sublayer(self, prefix: str, x: T.Tensor, out: T.Tensor) -> T.Tensor:
-        return self.norm(f"{prefix}.norm", T.add(x, self.drop(out)))
+        return self.add_norm(f"{prefix}.norm", x, self.drop(out))
 
     def embed(self, prefix: str, ids: np.ndarray, start: int = 0) -> T.Tensor:
         """Token plus position embeddings; the first column is position `start`."""
@@ -226,7 +217,7 @@ class _Forward:
         x = T.embedding_lookup(self.p[f"{prefix}.embed.token"], ids)
         pos = T.embedding_lookup(self.p[f"{prefix}.embed.position"],
                                  np.broadcast_to(np.arange(start, start + l), (b, l)))
-        return self.drop(self.norm(f"{prefix}.embed.norm", T.add(x, pos)))
+        return self.drop(self.add_norm(f"{prefix}.embed.norm", x, pos))
 
     def encoder_stack(self, src_ids: np.ndarray, src_real: np.ndarray) -> T.Tensor:
         mask = _key_mask(src_real)
@@ -353,5 +344,5 @@ class EncoderMlm(_Model):
         ids = np.asarray(ids, dtype=np.int64)
         fwd = _Forward(self.params, self.config, self._rng)
         h = fwd.encoder_stack(ids, pad_mask_from_ids(ids))
-        scores = T.matmul(h, T.transpose(self.params["encoder.embed.token"]))
-        return T.add(scores, self.params["mlm.bias"])
+        return T.linear(h, T.transpose(self.params["encoder.embed.token"]),
+                        self.params["mlm.bias"])

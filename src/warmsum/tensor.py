@@ -9,6 +9,11 @@ each recorded node exactly once.
 Broadcasting is deliberately restricted: `add` supports equal shapes plus a
 bias vector over the last axis, and nothing else. Masks and other constants
 enter through `add_const`, which does not differentiate through its constant.
+
+The fused ops (`linear`, `split_heads`, `merge_heads`, `attention_probs`,
+`add_layer_norm`) each record one node for a chain of the primitive ops. Their
+forward and backward evaluate the chain's numpy expressions in the chain's
+order, so a model built from them computes bit-identical values and gradients.
 """
 
 from __future__ import annotations
@@ -17,17 +22,9 @@ import math
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeMismatchError
-
-# Toggle with set_debug_checks(); every op then asserts finite outputs.
-_DEBUG_CHECKS = False
+from .errors import DataError, ShapeMismatchError
 
 _ACTIVE_TAPE: "Tape | None" = None
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
 
 
 class Tensor:
@@ -59,8 +56,11 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a C-ordered copy, as zeros + g was: -0.0 becomes +0.0, and a
+            # transposed contribution does not hand its order to later sums
+            self.grad = np.add(g, 0.0, order="C")
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -130,9 +130,7 @@ def backward(loss: Tensor) -> None:
                 t.accumulate_grad(g)
 
 
-def _make(op: str, data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
-        raise NumericError(f"non-finite values produced by op '{op}'")
+def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
     out._needs_grad = any(t._needs_grad for t in inputs)
     if _ACTIVE_TAPE is not None and out._needs_grad:
@@ -155,12 +153,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ad, bd = a.data, b.data
         out = ad @ bd
 
-        def bw(g):
-            ga = g @ bd.T
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, gb
-
-        return _make("matmul", out, (a, b), bw)
+        return _make(out, (a, b), lambda g: _weight_product_grads(g, ad, bd))
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeMismatchError(f"matmul leading dimensions disagree: {a.shape} x {b.shape}")
     ad, bd = a.data, b.data
@@ -171,21 +164,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = np.swapaxes(ad, -1, -2) @ g
         return ga, gb
 
-    return _make("matmul", out, (a, b), bw)
+    return _make(out, (a, b), bw)
+
+
+def _weight_product_grads(g: np.ndarray, ad: np.ndarray, wd: np.ndarray):
+    """Gradients of ad @ wd for a 2-D wd: the weight's sums over every leading axis."""
+    return g @ wd.T, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D weight w and a bias vector b over the last axis."""
+    if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeMismatchError(f"linear shapes incompatible: {x.shape} @ {w.shape} + {b.shape}")
+    xd, wd = x.data, w.data
+    out = xd @ wd + b.data
+
+    def bw(g):
+        gx, gw = _weight_product_grads(g, xd, wd)
+        return gx, gw, g.reshape(-1, b.shape[0]).sum(axis=0)
+
+    return _make(out, (x, w, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add for equal shapes, or bias-add of a vector over the last axis."""
     if a.shape == b.shape:
         out = a.data + b.data
-        return _make("add", out, (a, b), lambda g: (g, g))
+        return _make(out, (a, b), lambda g: (g, g))
     if b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
         out = a.data + b.data
 
         def bw(g):
             return g, g.reshape(-1, b.shape[0]).sum(axis=0)
 
-        return _make("add", out, (a, b), bw)
+        return _make(out, (a, b), bw)
     raise ShapeMismatchError(f"add shapes incompatible: {a.shape} + {b.shape}")
 
 
@@ -195,34 +207,68 @@ def add_const(a: Tensor, const: np.ndarray) -> Tensor:
     if np.broadcast_shapes(a.shape, const.shape) != a.shape:
         raise ShapeMismatchError(f"add_const would broadcast {a.shape} to a new shape via {const.shape}")
     out = a.data + const
-    return _make("add_const", out, (a,), lambda g: (g,))
+    return _make(out, (a,), lambda g: (g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _make("scale", a.data * s, (a,), lambda g: (g * s,))
+    return _make(a.data * s, (a,), lambda g: (g * s,))
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum())
-    return _make("sum_all", out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(np.float64),))
+    return _make(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(np.float64),))
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 
 
+def _softmax(xd: np.ndarray, axis: int) -> np.ndarray:
+    shifted = xd - xd.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return (g - dot) * y
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along `axis`; rows sum to 1."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
+    return _make(y, (x,), lambda g: (_softmax_grad(g, y, axis),))
+
+
+def attention_probs(q: Tensor, k: Tensor, s: float, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q @ k^T * s + mask) over the keys, for [B, H, L, dh] queries and keys.
+
+    One node for transpose, matmul, scale, add_const and softmax; `mask` is an
+    optional additive constant broadcast to the [B, H, Lq, Lk] scores.
+    """
+    if q.ndim != 4 or k.ndim != 4 or q.shape[:2] != k.shape[:2] or q.shape[3] != k.shape[3]:
+        raise ShapeMismatchError(f"attention_probs needs [B, H, L, dh] queries and keys, "
+                                 f"got {q.shape} and {k.shape}")
+    s = float(s)
+    qd = q.data
+    kt = np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))  # the chain's transposed copy
+    scores = (qd @ kt) * s
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if np.broadcast_shapes(scores.shape, mask.shape) != scores.shape:
+            raise ShapeMismatchError(f"attention mask {mask.shape} does not broadcast "
+                                     f"to the scores {scores.shape}")
+        scores = scores + mask
+    y = _softmax(scores, -1)
 
     def bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - dot) * y,)
+        gs = _softmax_grad(g, y, -1) * s
+        gq = gs @ np.swapaxes(kt, -1, -2)
+        gk = (np.swapaxes(qd, -1, -2) @ gs).transpose(0, 1, 3, 2)
+        return gq, gk
 
-    return _make("softmax", y, (x,), bw)
+    return _make(y, (q, k), bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
@@ -232,25 +278,50 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         raise ShapeMismatchError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gain.data + bias.data
+    out, norm_grads = _normalize(x.data, gain.data, bias.data, eps)
+    # a closure of this op's own, so the recorded node carries its name
+    return _make(out, (x, gain, bias), lambda g: norm_grads(g))
+
+
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
+                   eps: float = 1e-12) -> Tensor:
+    """layer_norm(x + y): a residual add and the norm after it, in one node."""
+    d = x.shape[-1]
+    if x.shape != y.shape or gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeMismatchError(f"add_layer_norm shapes incompatible: {x.shape} + {y.shape}, "
+                                 f"gain {gain.shape}, bias {bias.shape}")
+    out, norm_grads = _normalize(x.data + y.data, gain.data, bias.data, eps)
 
     def bw(g):
+        dx, dgain, dbias = norm_grads(g)
+        return dx, dx, dgain, dbias
+
+    return _make(out, (x, y, gain, bias), bw)
+
+
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    # a.mean(axis=-1, keepdims=True) bit for bit, without its Python-level wrapper
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
+def _normalize(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray, eps: float):
+    """Layer norm of xd's last axis: the output and its (dx, dgain, dbias) backward."""
+    d = xd.shape[-1]
+    mu = _mean_last(xd)
+    centered = xd - mu
+    var = _mean_last(centered * centered)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = xhat * gd + bd
+
+    def grads(g):
         dgain = (g * xhat).reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dxhat = g * gd
+        dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
         return dx, dgain, dbias
 
-    return _make("layer_norm", out, (x, gain, bias), bw)
+    return out, grads
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -268,7 +339,7 @@ def gelu(x: Tensor) -> Tensor:
         dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
         return (g * dx,)
 
-    return _make("gelu", out, (x,), bw)
+    return _make(out, (x,), bw)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -278,7 +349,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p == 0.0:
         return x
     keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    return _make("dropout", x.data * keep, (x,), lambda g: (g * keep,))
+    return _make(x.data * keep, (x,), lambda g: (g * keep,))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +358,30 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = x.shape
-    return _make("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
+    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
     inv = np.argsort(axes)
-    return _make("transpose", x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
+    return _make(x.data.transpose(axes), (x,), lambda g: (g.transpose(inv),))
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """[B, L, n_heads * dh] -> [B, n_heads, L, dh]: a reshape and a transpose in one node."""
+    b, l, d = x.shape
+    if d % n_heads:
+        raise ShapeMismatchError(f"split_heads: width {d} is not a multiple of {n_heads} heads")
+    out = x.data.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+    return _make(out, (x,), lambda g: (g.transpose(0, 2, 1, 3).reshape(b, l, d),))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """[B, H, L, dh] -> [B, L, H * dh], the inverse of split_heads."""
+    b, h, l, dh = x.shape
+    out = x.data.transpose(0, 2, 1, 3).reshape(b, l, h * dh)
+    return _make(out, (x,), lambda g: (g.reshape(b, l, h, dh).transpose(0, 2, 1, 3),))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +402,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
         return (gt,)
 
-    return _make("embedding_lookup", out, (table,), bw)
+    return _make(out, (table,), bw)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
@@ -352,5 +439,5 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> T
         gl[rows, kept_targets] -= 1.0
         return (gl * (float(g) / n_keep),)
 
-    return _make("cross_entropy", out, (logits,), bw)
+    return _make(out, (logits,), bw)
 

@@ -68,6 +68,14 @@ def _op_cases(rng):
     w34 = rng.normal(size=(3, 4))
     w234 = rng.normal(size=(2, 3, 4))
     w122 = rng.normal(size=(12, 2))
+    w44 = T.parameter(rng.normal(size=(4, 4)), "w")
+    x2344 = T.parameter(rng.normal(size=(2, 3, 4)), "x2")
+    q = T.parameter(rng.normal(size=(2, 2, 3, 4)), "q")
+    k = T.parameter(rng.normal(size=(2, 2, 5, 4)), "k")
+    key_mask = np.where(rng.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0)
+    key_mask[..., 0] = 0.0  # every query attends to at least one key
+    w2234 = rng.normal(size=(2, 2, 3, 4))
+    w2235 = rng.normal(size=(2, 2, 3, 5))
 
     def dot(t, w):
         flat = T.reshape(t, (1, int(np.prod(t.shape))))
@@ -92,6 +100,13 @@ def _op_cases(rng):
         ("reshape_transpose", [b234],
          lambda: dot(T.transpose(T.reshape(b234, (2, 12)), (1, 0)), w122)),
         ("sum_all", [b234], lambda: T.sum_all(b234)),
+        ("linear", [b234, w44, bias], lambda: dot(T.linear(b234, w44, bias), w234)),
+        ("split_heads", [b234], lambda: dot(T.split_heads(b234, 2), w234)),
+        ("merge_heads", [q], lambda: dot(T.merge_heads(q), w2234)),
+        ("attention_probs", [q, k],
+         lambda: dot(T.attention_probs(q, k, 0.5, key_mask), w2235)),
+        ("add_layer_norm", [b234, x2344, gain, bias],
+         lambda: dot(T.add_layer_norm(b234, x2344, gain, bias, eps=1e-8), w234)),
     ]
 
 
