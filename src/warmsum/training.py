@@ -10,7 +10,7 @@ fixed constants below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,50 +56,85 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
     return cfg.learning_rate * remaining / max(1, cfg.total_steps - cfg.warmup_steps)
 
 
-@dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step: int = 0
+    """Adam's moments and step count, and the arena of the parameters they update.
 
-    @classmethod
-    def for_params(cls, params: dict[str, T.Tensor]) -> "OptimizerState":
-        return cls(m={k: np.zeros_like(p.data) for k, p in params.items()},
-                   v={k: np.zeros_like(p.data) for k, p in params.items()},
-                   step=0)
+    Building one builds the arena: every parameter's values move into one
+    contiguous float64 buffer, in sorted-name order, and its `data` becomes a
+    view of its slice; its `grad` becomes a view of the same slice of a
+    second, zeroed buffer, so backward accumulates into the arena. Adam and
+    `zero_grad` then run on whole buffers. `m` and `v` map each name to its
+    view of the flat moments.
+    """
+
+    def __init__(self, params: dict[str, T.Tensor]):
+        self.names = sorted(params)
+        offsets = np.cumsum([0] + [params[n].data.size for n in self.names]).tolist()
+        self.spans = list(zip(offsets[:-1], offsets[1:]))
+        size = offsets[-1]
+        self.data, self.grad = np.empty(size), np.zeros(size)
+        self.m_flat, self.v_flat = np.zeros(size), np.zeros(size)
+        # adam_step's temporaries: arrays of the arena's size, allocated anew on
+        # every step, would be mapped and unmapped by the allocator each time
+        self.work = np.empty((3, size))
+        self.grads: dict[str, np.ndarray] = {}
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.step = 0
+        for name, (lo, hi) in zip(self.names, self.spans):
+            p = params[name]
+            shape = p.data.shape
+            self.data[lo:hi] = p.data.reshape(-1)
+            p.data = self.data[lo:hi].reshape(shape)
+            self.grads[name] = self.grad[lo:hi].reshape(shape)
+            if p.grad is not None:  # a backward that ran before the arena existed
+                self.grads[name][...] = p.grad
+            p.grad = self.grads[name]
+            self.m[name] = self.m_flat[lo:hi].reshape(shape)
+            self.v[name] = self.v_flat[lo:hi].reshape(shape)
+
+    def zero_grad(self) -> None:
+        self.grad.fill(0.0)
 
 
 def adam_step(params: dict[str, T.Tensor], state: OptimizerState,
               cfg: TrainConfig, lr: float | None = None) -> None:
-    """One Adam update in place; grads are clipped by global norm first."""
+    """One Adam update of the arena in place; grads are clipped by global norm first."""
     if lr is None:
         lr = cfg.learning_rate
-    names = sorted(params)
-    grads = {}
-    for name in names:
-        g = params[name].grad
-        if g is None:
-            g = np.zeros_like(params[name].data)
-        elif not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
-        grads[name] = g
+    for name, g in state.grads.items():
+        p = params[name]
+        if p.grad is not g:  # a grad cleared or replaced outside the arena
+            g[...] = 0.0 if p.grad is None else p.grad
+            p.grad = g
 
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    grad, (a, b, clipped) = state.grad, state.work
+    sq = np.multiply(grad, grad, out=a)
+    # per-tensor sums added in sorted-name order, as the norm has always been taken
+    total = math.sqrt(sum(float(np.add.reduce(sq[lo:hi])) for lo, hi in state.spans))
+    if not math.isfinite(total):  # a non-finite gradient makes the norm non-finite
+        for name, (lo, hi) in zip(state.names, state.spans):
+            if not np.isfinite(grad[lo:hi]).all():
+                raise NumericError(f"non-finite gradient in parameter {name!r}")
     if total > GRADIENT_CLIP_NORM:
-        factor = GRADIENT_CLIP_NORM / total
-        grads = {k: g * factor for k, g in grads.items()}
+        grad = np.multiply(grad, GRADIENT_CLIP_NORM / total, out=clipped)
 
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    for name in names:
-        g = grads[name]
-        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name].data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g * g,
+    # then data -= lr * m_hat / (sqrt(v_hat) + eps), each product in that order
+    m, v = state.m_flat, state.v_flat
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=a)
+    v *= BETA2
+    np.multiply(grad, 1.0 - BETA2, out=a)
+    v += np.multiply(a, grad, out=a)
+    np.multiply(np.divide(m, bc1, out=a), lr, out=a)
+    np.sqrt(np.divide(v, bc2, out=b), out=b)
+    b += ADAM_EPS
+    state.data -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +226,7 @@ def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,
     params = {name: T.parameter(arr, name)
               for name, arr in fresh_params(model_cfg, "encoder_mlm", cfg.seed).items()}
     model = EncoderMlm(model_cfg, params)
-    state = OptimizerState.for_params(params)
+    state = OptimizerState(params)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     log = log or MetricsLog()
     log_every = max(1, cfg.total_steps // 20)
@@ -211,8 +246,7 @@ def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,
         if not math.isfinite(loss_val):
             raise NumericError(f"non-finite MLM loss at step {step}")
         adam_step(params, state, cfg, lr=lr_at(step, cfg))
-        for p in params.values():
-            p.zero_grad()
+        state.zero_grad()
         if step % log_every == 0 or step == 1:
             log.add(step, "train", loss_val)
 
@@ -308,7 +342,7 @@ def finetune(ckpt: Checkpoint, train_set, dev_set, vocab: Vocabulary,
 
     model = EncoderDecoderModel.from_checkpoint(ckpt)
     params = model.params
-    state = OptimizerState.for_params(params)
+    state = OptimizerState(params)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     log = log or MetricsLog()
     if eval_every is None:
@@ -329,8 +363,7 @@ def finetune(ckpt: Checkpoint, train_set, dev_set, vocab: Vocabulary,
         if not math.isfinite(loss_val):
             raise NumericError(f"non-finite fine-tuning loss at step {step}")
         adam_step(params, state, cfg, lr=lr_at(step, cfg))
-        for p in params.values():
-            p.zero_grad()
+        state.zero_grad()
 
         if step % eval_every == 0 or step == cfg.total_steps:
             log.add(step, "train", loss_val)

@@ -341,7 +341,7 @@ def test_a5_causality_and_tying():
         # decode_logits is the embedding storage itself, after the update
         with T.Tape():
             T.backward(model.forward_loss(src, tgt))
-        state = OptimizerState.for_params(model.params)
+        state = OptimizerState(model.params)
         adam_step(model.params, state, TrainConfig(learning_rate=1e-3))
         emb = model.params["decoder.embed.token"]
         assert model.output_matrix is emb

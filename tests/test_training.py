@@ -8,12 +8,13 @@ from warmsum import tensor as T
 from warmsum.assembly import AssemblyMode, assemble, save_checkpoint_bytes
 from warmsum.corpus import CorpusExample
 from warmsum.errors import DataError, NumericError
-from warmsum.model import ModelConfig
+from warmsum.model import EncoderDecoderModel, ModelConfig
 from warmsum.synthetic import SyntheticSettings, generate_corpus
-from warmsum.tokenizer import MASK, PAD, encode, train_bpe
-from warmsum.training import (GRADIENT_CLIP_NORM, MetricsLog, OptimizerState, TrainConfig,
-                              _mask_batch, adam_step, encode_pairs, evaluate_mlm, finetune,
-                              frame_ids, lr_at, pad_batch, pretrain_mlm, unigram_entropy)
+from warmsum.tokenizer import BOS, EOS, MASK, PAD, encode, train_bpe
+from warmsum.training import (ADAM_EPS, BETA1, BETA2, GRADIENT_CLIP_NORM, MetricsLog,
+                              OptimizerState, TrainConfig, _mask_batch, adam_step,
+                              encode_pairs, evaluate_mlm, finetune, frame_ids, lr_at,
+                              pad_batch, pretrain_mlm, unigram_entropy)
 
 CFG = TrainConfig(learning_rate=0.1, warmup_steps=10, total_steps=100)
 
@@ -26,7 +27,7 @@ def _param(value, name="p"):
 def test_adam_first_step_closed_form():
     params = _param([1.0])
     params["p"].grad = np.array([1.0])
-    state = OptimizerState.for_params(params)
+    state = OptimizerState(params)
     adam_step(params, state, CFG)
     # bias-corrected m_hat = v_hat = 1, so the step is lr / (1 + eps)
     assert params["p"].data[0] == pytest.approx(1.0 - 0.1, abs=1e-8)
@@ -36,7 +37,7 @@ def test_adam_first_step_closed_form():
 def test_adam_zero_gradient_keeps_params():
     params = _param([2.5])
     params["p"].grad = np.array([0.0])
-    state = OptimizerState.for_params(params)
+    state = OptimizerState(params)
     adam_step(params, state, CFG)
     assert params["p"].data[0] == 2.5
     assert state.step == 1
@@ -51,7 +52,7 @@ def test_adam_global_norm_clipping_halves_gradient():
     assert GRADIENT_CLIP_NORM == 1.0
     params = _param([0.0, 0.0])
     params["p"].grad = np.array([1.2, 1.6])  # norm 2.0 -> scaled by 0.5
-    state = OptimizerState.for_params(params)
+    state = OptimizerState(params)
     adam_step(params, state, CFG)
     assert np.allclose(state.m["p"], 0.1 * np.array([0.6, 0.8]))
     assert np.allclose(state.v["p"], 0.001 * np.array([0.6, 0.8]) ** 2)
@@ -60,9 +61,104 @@ def test_adam_global_norm_clipping_halves_gradient():
 def test_adam_rejects_nan_gradient_naming_parameter():
     params = _param([1.0], name="encoder.embed.token")
     params["encoder.embed.token"].grad = np.array([np.nan])
-    state = OptimizerState.for_params(params)
+    state = OptimizerState(params)
     with pytest.raises(NumericError, match="encoder.embed.token"):
         adam_step(params, state, CFG)
+
+
+def _chain_ops():
+    """The fused tensor ops, each written as the chain of primitive ops it replaces."""
+    def linear(x, w, b):
+        return T.add(T.matmul(x, w), b)
+
+    def split_heads(x, n_heads):
+        b, l, d = x.shape
+        return T.transpose(T.reshape(x, (b, l, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+    def merge_heads(x):
+        b, h, l, dh = x.shape
+        return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, l, h * dh))
+
+    def attention_probs(q, k, s, mask=None):
+        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), s)
+        if mask is not None:
+            scores = T.add_const(scores, mask)
+        return T.softmax(scores, axis=-1)
+
+    def add_layer_norm(x, y, gain, bias, eps):
+        return T.layer_norm(T.add(x, y), gain, bias, eps)
+
+    return {"linear": linear, "split_heads": split_heads, "merge_heads": merge_heads,
+            "attention_probs": attention_probs, "add_layer_norm": add_layer_norm}
+
+
+def _per_tensor_adam(params, m, v, step, lr):
+    """Adam one parameter tensor at a time, as it ran before the arena."""
+    names = sorted(params)
+    grads = {n: params[n].grad if params[n].grad is not None else np.zeros_like(params[n].data)
+             for n in names}
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > GRADIENT_CLIP_NORM:
+        factor = GRADIENT_CLIP_NORM / total
+        grads = {n: g * factor for n, g in grads.items()}
+    bc1, bc2 = 1.0 - BETA1**step, 1.0 - BETA2**step
+    for n in names:
+        g = grads[n]
+        m[n] = BETA1 * m.get(n, 0.0) + (1.0 - BETA1) * g
+        v[n] = BETA2 * v.get(n, 0.0) + (1.0 - BETA2) * g * g
+        params[n].data -= lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + ADAM_EPS)
+        params[n].zero_grad()
+
+
+def _train_steps(update, steps=12, seed=4):
+    """Fine-tune a 2+2-layer model with dropout 0.1 on random pairs; returns model, losses."""
+    cfg = ModelConfig(vocab_size=24, d_model=16, n_heads=2, d_ff=32, n_enc_layers=2,
+                      n_dec_layers=2, max_positions=16, dropout=0.1)
+    model = EncoderDecoderModel.from_checkpoint(
+        assemble(None, AssemblyMode.RND2RND, cfg, seed=seed))
+    data = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    step_fn = update(model.params)
+    losses = []
+    for step in range(1, steps + 1):
+        src = data.integers(5, cfg.vocab_size, size=(4, 9))
+        tgt = data.integers(5, cfg.vocab_size, size=(4, 6))
+        src[:, 0], src[:, -1], tgt[:, 0], tgt[:, -1] = BOS, EOS, BOS, EOS
+        src[1, 5:], tgt[2, 4:] = PAD, PAD
+        tgt[2, 3] = EOS
+        model.train(rng)
+        with T.Tape():
+            loss = model.forward_loss(src, tgt)
+            T.backward(loss)
+        losses.append(loss.item())
+        step_fn(step, lr_at(step, TrainConfig(learning_rate=3e-2, warmup_steps=3)))
+    return model, losses
+
+
+def test_fused_ops_and_arena_train_bit_identically_to_primitive_ops(monkeypatch):
+    def arena_update(params):
+        state = OptimizerState(params)
+        for p in params.values():
+            assert np.shares_memory(p.data, state.data) and np.shares_memory(p.grad, state.grad)
+
+        def step_fn(step, lr):
+            adam_step(params, state, CFG, lr=lr)
+            state.zero_grad()
+        return step_fn
+
+    def reference_update(params):
+        m, v = {}, {}
+        return lambda step, lr: _per_tensor_adam(params, m, v, step, lr)
+
+    fused, fused_losses = _train_steps(arena_update)
+    with monkeypatch.context() as patch:
+        for name, fn in _chain_ops().items():
+            patch.setattr(T, name, fn)
+        reference, reference_losses = _train_steps(reference_update)
+    assert fused_losses == reference_losses
+    assert fused_losses[-1] < fused_losses[0]
+    for name, p in reference.params.items():
+        assert np.array_equal(fused.params[name].data, p.data), name
 
 
 def test_lr_schedule_shape():
