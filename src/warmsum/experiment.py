@@ -59,6 +59,10 @@ class CorpusSettings:
 
     def __post_init__(self):
         corpus_mod.check_ratios(self.ratios)
+        # an experiment trains on train, selects on dev and scores on test
+        if not all(r > 0 for r in self.ratios):
+            raise DataError(f"corpus.ratios must give train, dev and test each a positive "
+                            f"share, got {self.ratios!r}")
 
 
 @dataclass(frozen=True)

@@ -314,13 +314,12 @@ def _dev_loss(model: EncoderDecoderModel, pairs, batch_size: int) -> float:
     return total / max(1, count)
 
 
-def _dev_rouge_l(model: EncoderDecoderModel, pairs, vocab: Vocabulary, max_len: int) -> float:
+def _dev_rouge_l(model: EncoderDecoderModel, pairs, refs: list[list[str]],
+                 vocab: Vocabulary, max_len: int) -> float:
+    """Mean ROUGE-L F1 of greedy decodes of the pairs' sources against `refs`,
+    the words of the pairs' targets."""
     outs = greedy_decode_batch(model, [p[0] for p in pairs], max_len)
-    scores = []
-    for out, (_, ref_ids) in zip(outs, pairs):
-        cand = decode(list(out), vocab).split()
-        ref = decode(list(ref_ids), vocab).split()
-        scores.append(rouge_l(cand, ref).f1)
+    scores = [rouge_l(decode(list(out), vocab).split(), ref).f1 for out, ref in zip(outs, refs)]
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -339,6 +338,7 @@ def finetune(ckpt: Checkpoint, train_set, dev_set, vocab: Vocabulary,
     dev_pairs = encode_pairs(dev_set, vocab, cfg)
     if eval_limit is not None:
         dev_pairs = dev_pairs[:eval_limit]
+    dev_refs = [decode(list(tgt), vocab).split() for _, tgt in dev_pairs]
 
     model = EncoderDecoderModel.from_checkpoint(ckpt)
     params = model.params
@@ -368,7 +368,7 @@ def finetune(ckpt: Checkpoint, train_set, dev_set, vocab: Vocabulary,
         if step % eval_every == 0 or step == cfg.total_steps:
             log.add(step, "train", loss_val)
             d_loss = _dev_loss(model, dev_pairs, cfg.batch_size)
-            d_rouge = _dev_rouge_l(model, dev_pairs, vocab, cfg.max_tgt_len)
+            d_rouge = _dev_rouge_l(model, dev_pairs, dev_refs, vocab, cfg.max_tgt_len)
             log.add(step, "dev", d_loss, d_rouge)
             if d_rouge > best_rouge:
                 best_rouge, best_step = d_rouge, step

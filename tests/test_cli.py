@@ -199,6 +199,8 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
      "ratios must be three non-negative numbers that sum to 1"),
     ('{"corpus": {"ratios": [1.1, -0.05, -0.05]}, "output_dir": "OUT"}',
      "ratios must be three non-negative numbers that sum to 1"),
+    ('{"corpus": {"ratios": [0.85, 0.15, 0.0]}, "output_dir": "OUT"}',
+     "corpus.ratios must give train, dev and test each a positive share"),
     ('{"decoding": {"beam_size": 0}, "output_dir": "OUT"}',
      "decoding beam_size must be an integer >= 1, got 0"),
     ('{"decoding": {"max_len": 0}, "output_dir": "OUT"}',
