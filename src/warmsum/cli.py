@@ -16,8 +16,8 @@ from . import tokenizer as tok
 from .assembly import AssemblyMode, assemble, load_checkpoint, save_checkpoint
 from .decoding import beam_search, greedy_decode_batch
 from .errors import DataError, NumericError
-from .experiment import (ExperimentConfig, config_to_json, load_config, load_results,
-                         run_experiment)
+from .experiment import (ExperimentConfig, config_to_json, encoder_quality_text, load_config,
+                         load_results, run_experiment)
 from .fileio import write_atomic
 from .model import EncoderDecoderModel
 from .rouge import corpus_rouge, pair_rouge
@@ -177,7 +177,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     table = load_results(args.dir)
-    sys.stdout.write(table.render_text())
+    sys.stdout.write(table.render_text() + encoder_quality_text(args.dir))
     return 0
 
 

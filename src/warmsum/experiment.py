@@ -26,7 +26,8 @@ from .fileio import write_atomic
 from .model import EncoderDecoderModel, ModelConfig
 from .rouge import corpus_rouge
 from .synthetic import SyntheticSettings, generate_corpus
-from .training import MetricsLog, TrainConfig, finetune, frame_ids, pretrain_mlm
+from .training import (MetricsLog, TrainConfig, evaluate_mlm, finetune, frame_ids,
+                       pretrain_mlm, unigram_entropy)
 
 
 @dataclass(frozen=True)
@@ -283,15 +284,29 @@ def pretraining_lines(examples) -> list[str]:
     return [f"{ex.body} {ex.abstract}" for ex in examples]
 
 
+_QUALITY_FILE = "encoder_quality.json"
+
+
 def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
-                     train_split, vocab: tok.Vocabulary):
+                     splits, vocab: tok.Vocabulary):
     enc_path = out / "encoder_mlm.ckpt"
     if enc_path.exists():
-        return load_checkpoint(enc_path)
-    ckpt = pretrain_mlm(pretraining_lines(train_split), vocab, model_cfg, cfg.pretrain,
-                        MetricsLog(out / "pretrain_metrics.csv"))
-    ckpt.vocab_ref = "vocab.txt"
-    save_checkpoint(ckpt, enc_path)
+        ckpt = load_checkpoint(enc_path)
+    else:
+        ckpt = pretrain_mlm(pretraining_lines(splits["train"]), vocab, model_cfg,
+                            cfg.pretrain, MetricsLog(out / "pretrain_metrics.csv"))
+        ckpt.vocab_ref = "vocab.txt"
+        save_checkpoint(ckpt, enc_path)
+    quality_path = out / _QUALITY_FILE
+    if not quality_path.exists():
+        # the held-out masked-token loss, and the loss of a model that knows
+        # only the training-token frequencies
+        loss, accuracy = evaluate_mlm(ckpt, pretraining_lines(splits["dev"]), vocab,
+                                      cfg.pretrain)
+        entropy = unigram_entropy(pretraining_lines(splits["train"]), vocab, cfg.pretrain)
+        quality = {"mlm_dev_loss": loss, "mlm_dev_accuracy": accuracy,
+                   "unigram_entropy": entropy}
+        write_atomic(quality_path, json.dumps(quality, indent=2, sort_keys=True) + "\n")
     return ckpt
 
 
@@ -372,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     vocab = _prepare_vocab(cfg, out, splits["train"])
     model_cfg = cfg.model.to_model_config(vocab.size)
     needs_encoder = any(m != AssemblyMode.RND2RND.value for m in cfg.modes)
-    encoder_ckpt = _prepare_encoder(cfg, out, model_cfg, splits["train"], vocab) \
+    encoder_ckpt = _prepare_encoder(cfg, out, model_cfg, splits, vocab) \
         if needs_encoder else None
 
     table = ResultsTable()
@@ -405,3 +420,20 @@ def load_results(output_dir) -> ResultsTable:
                 continue
             table.rows.append(_read_scores(scores_path, mode, seed))
     return table
+
+
+def encoder_quality_text(output_dir) -> str:
+    """The run's encoder quality as one line for the report; "" when it has none."""
+    path = Path(output_dir) / _QUALITY_FILE
+    if not path.exists():
+        return ""
+    keys = ("mlm_dev_loss", "mlm_dev_accuracy", "unigram_entropy")
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        loss, accuracy, entropy = (obj[k] for k in keys)
+        if not all(type(x) in (int, float) for x in (loss, accuracy, entropy)):
+            raise ValueError(f"values must be numbers, got {[obj[k] for k in keys]!r}")
+    except (ValueError, KeyError, TypeError) as e:  # JSON and UTF-8 errors are ValueErrors
+        raise DataError(f"{path}: malformed encoder quality ({type(e).__name__}: {e})") from None
+    return (f"MLM encoder: dev masked-token loss {loss:.3f} nats "
+            f"(accuracy {accuracy:.1%}), unigram entropy {entropy:.3f} nats\n")

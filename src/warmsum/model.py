@@ -215,8 +215,7 @@ class _Forward:
             raise DataError(f"sequence length {start + l} exceeds max_positions "
                             f"{self.cfg.max_positions}")
         x = T.embedding_lookup(self.p[f"{prefix}.embed.token"], ids)
-        pos = T.embedding_lookup(self.p[f"{prefix}.embed.position"],
-                                 np.broadcast_to(np.arange(start, start + l), (b, l)))
+        pos = T.position_lookup(self.p[f"{prefix}.embed.position"], start, b, l)
         return self.drop(self.add_norm(f"{prefix}.embed.norm", x, pos))
 
     def encoder_stack(self, src_ids: np.ndarray, src_real: np.ndarray) -> T.Tensor:

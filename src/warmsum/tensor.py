@@ -18,6 +18,7 @@ order, so a model built from them computes bit-identical values and gradients.
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -25,6 +26,33 @@ import numpy as np
 from .errors import DataError, ShapeMismatchError
 
 _ACTIVE_TAPE: "Tape | None" = None
+_HEAP_POLICY_SET = False
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_freed_heap() -> None:
+    """Ask glibc, once per process, to keep the memory that training frees.
+
+    A training step frees its whole graph when its tape's block ends. By
+    default glibc then trims the top of the heap and unmaps large arrays, and
+    the next step faults the same pages back in. Arrays up to 32 MiB (glibc's
+    ceiling) now come from the heap, and up to 1 GiB of free heap stays in the
+    process. Setting the trim threshold alone would turn off glibc's dynamic
+    mmap threshold, so arrays of 128 KiB and more would be mapped anew on every
+    step. Where the C library has no `mallopt`, or refuses it, nothing changes.
+    """
+    global _HEAP_POLICY_SET
+    if _HEAP_POLICY_SET:
+        return
+    _HEAP_POLICY_SET = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 class Tensor:
@@ -77,6 +105,7 @@ class Tape:
     Only one tape may be active at a time. Ops executed with no active tape
     (inference) record nothing and allocate no gradient state. Leaving the
     `with` block drops the recorded graph, so backward runs inside the block.
+    The first tape entered sets the allocator policy of `_keep_freed_heap`.
     """
 
     def __init__(self):
@@ -87,6 +116,7 @@ class Tape:
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise RuntimeError("a tape is already active; tapes do not nest")
+        _keep_freed_heap()
         _ACTIVE_TAPE = self
         return self
 
@@ -400,6 +430,28 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     def bw(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        return (gt,)
+
+    return _make(out, (table,), bw)
+
+
+def position_lookup(table: Tensor, start: int, batch: int, length: int) -> Tensor:
+    """Rows start .. start+length-1 of `table` for each of `batch` sequences.
+
+    embedding_lookup of those positions broadcast over the batch, bit for bit:
+    backward sums the batch axis row by row, in np.add.at's order, instead of
+    scatter-adding every row.
+    """
+    if table.ndim != 2:
+        raise ShapeMismatchError(f"embedding table must be 2-D, got {table.shape}")
+    if start < 0 or start + length > table.shape[0]:
+        raise DataError(f"positions [{start}, {start + length}) out of range [0, {table.shape[0]})")
+    rows = slice(start, start + length)
+    out = np.broadcast_to(table.data[rows], (batch, length, table.shape[1])).copy()
+
+    def bw(g):
+        gt = np.zeros_like(table.data)
+        gt[rows] = g.sum(axis=0)
         return (gt,)
 
     return _make(out, (table,), bw)

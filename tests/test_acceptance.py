@@ -96,6 +96,7 @@ def _op_cases(rng):
         ("dropout", [x34],
          lambda: dot(T.dropout(x34, 0.35, np.random.default_rng(1234)), w34)),
         ("embedding_lookup", [table], lambda: T.sum_all(T.embedding_lookup(table, ids))),
+        ("position_lookup", [table], lambda: dot(T.position_lookup(table, 1, 2, 4), w234)),
         ("cross_entropy", [logit], lambda: T.cross_entropy(logit, targets, ignore_id=-1)),
         ("reshape_transpose", [b234],
          lambda: dot(T.transpose(T.reshape(b234, (2, 12)), (1, 0)), w122)),

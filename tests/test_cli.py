@@ -261,6 +261,21 @@ def test_report_names_the_config_it_cannot_read(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_report_prints_the_encoder_quality_and_refuses_a_malformed_one(tmp_path, capsys):
+    out, _ = _run_dir_with_scores(tmp_path, SCORES)
+    quality = out / "encoder_quality.json"
+    quality.write_text('{"mlm_dev_accuracy": 0.5, "mlm_dev_loss": 2.25, '
+                       '"unigram_entropy": 4.0}', encoding="utf-8")
+    assert main(["report", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "MLM encoder: dev masked-token loss 2.250 nats (accuracy 50.0%), "
+        "unigram entropy 4.000 nats")
+    quality.write_text('{"mlm_dev_accuracy": 0.5, "mlm_dev_loss": "2.25", '
+                       '"unigram_entropy": 4.0}', encoding="utf-8")
+    assert main(["report", "--dir", str(out)]) == 2
+    assert f"{quality}: malformed encoder quality (ValueError" in capsys.readouterr().err
+
+
 def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
     cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
     cand.write_bytes(b"con m\xe8o\n")

@@ -3,15 +3,18 @@ import json
 
 import pytest
 
+from warmsum.assembly import load_checkpoint
+from warmsum.cli import main
 from warmsum.errors import DataError
 from warmsum.experiment import (CellResult, CorpusSettings, DecodingSettings,
                                 ExperimentConfig, ModelSettings, ResultsTable,
                                 TokenizerSettings, config_from_json, config_to_json,
-                                load_results, run_experiment)
-from warmsum.corpus import split
+                                encoder_quality_text, load_results, pretraining_lines,
+                                run_experiment)
+from warmsum.corpus import load_jsonl, split
 from warmsum.synthetic import SyntheticSettings, generate_corpus, word_inventory
-from warmsum.tokenizer import encode, train_bpe
-from warmsum.training import TrainConfig
+from warmsum.tokenizer import encode, load_vocab, train_bpe
+from warmsum.training import TrainConfig, evaluate_mlm, unigram_entropy
 
 
 def tiny_config(output_dir, modes=("RND2RND", "WARM2WARM"), seeds=(1, 2)):
@@ -89,7 +92,7 @@ def test_results_table_rendering():
 
 
 @pytest.mark.slow
-def test_run_experiment_end_to_end(tmp_path):
+def test_run_experiment_end_to_end(tmp_path, capsys):
     out = tmp_path / "runs"
     cfg = tiny_config(out)
     table = run_experiment(cfg)
@@ -128,6 +131,25 @@ def test_run_experiment_end_to_end(tmp_path):
     loaded = load_results(out)
     assert [dataclasses.astuple(r) for r in loaded.rows] == \
         [dataclasses.astuple(r) for r in table.rows]
+
+    # the encoder's quality is recorded next to it, unchanged by a rerun, and
+    # recomputed when a resumed run finds it missing
+    quality_path = out / "encoder_quality.json"
+    quality_bytes = quality_path.read_bytes()
+    vocab = load_vocab(out / "vocab.txt")
+    train, dev = (pretraining_lines(load_jsonl(out / "data" / f"{n}.jsonl"))
+                  for n in ("train", "dev"))
+    loss, accuracy = evaluate_mlm(load_checkpoint(out / "encoder_mlm.ckpt"), dev, vocab,
+                                  cfg.pretrain)
+    assert json.loads(quality_bytes) == {
+        "mlm_dev_loss": loss, "mlm_dev_accuracy": accuracy,
+        "unigram_entropy": unigram_entropy(train, vocab, cfg.pretrain)}
+    quality_path.unlink()
+    run_experiment(cfg)
+    assert quality_path.read_bytes() == quality_bytes
+    assert main(["report", "--dir", str(out)]) == 0
+    assert capsys.readouterr().out == results_txt.decode() + encoder_quality_text(out)
+    assert encoder_quality_text(out).startswith(f"MLM encoder: dev masked-token loss {loss:.3f}")
 
 
 def test_run_experiment_rejects_conflicting_config(tmp_path):

@@ -314,6 +314,33 @@ def test_embedding_lookup_rejects_bad_ids():
         T.embedding_lookup(table, np.array([4]))
 
 
+@pytest.mark.parametrize("batch", [1, 5, 8, 16, 32])
+def test_position_lookup_matches_embedding_lookup_bit_for_bit(batch):
+    rng = np.random.default_rng(batch)
+    table = T.parameter(rng.normal(size=(40, 32)), "pos")
+    w = rng.normal(size=(batch, 34, 32))
+    start = 3
+    ids = np.broadcast_to(np.arange(start, start + 34), (batch, 34))
+    assert T.position_lookup(table, start, batch, 34).data.tobytes() == \
+        T.embedding_lookup(table, ids).data.tobytes()
+    grads = []
+    for lookup in (lambda: T.position_lookup(table, start, batch, 34),
+                   lambda: T.embedding_lookup(table, ids)):
+        table.zero_grad()
+        with T.Tape():
+            T.backward(_dot(lookup(), w))
+        grads.append(table.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
+def test_position_lookup_rejects_positions_past_the_table():
+    table = T.parameter(np.zeros((4, 3)))
+    with pytest.raises(DataError):
+        T.position_lookup(table, 2, 1, 3)
+    with pytest.raises(DataError):
+        T.position_lookup(table, -1, 1, 2)
+
+
 def test_dropout_inverted_scaling():
     rng = np.random.default_rng(11)
     x = T.Tensor(np.ones((50, 50)))

@@ -1,3 +1,4 @@
+import ctypes
 import math
 from dataclasses import replace
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 
 from warmsum import tensor as T
-from warmsum.assembly import AssemblyMode, assemble, save_checkpoint_bytes
+from warmsum.assembly import AssemblyMode, assemble, fresh_params, save_checkpoint_bytes
 from warmsum.corpus import CorpusExample
 from warmsum.errors import DataError, NumericError
-from warmsum.model import EncoderDecoderModel, ModelConfig
+from warmsum.model import EncoderDecoderModel, EncoderMlm, ModelConfig
 from warmsum.synthetic import SyntheticSettings, generate_corpus
 from warmsum.tokenizer import BOS, EOS, MASK, PAD, encode, train_bpe
 from warmsum.training import (ADAM_EPS, BETA1, BETA2, GRADIENT_CLIP_NORM, MetricsLog,
@@ -159,6 +160,46 @@ def test_fused_ops_and_arena_train_bit_identically_to_primitive_ops(monkeypatch)
     assert fused_losses[-1] < fused_losses[0]
     for name, p in reference.params.items():
         assert np.array_equal(fused.params[name].data, p.data), name
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_training_steps_keep_freed_memory_in_the_process():
+    # the warm-start benchmark's MLM shapes; every step frees its graph when
+    # its tape's block ends, and the next step must not fault the pages back in
+    import resource
+
+    cfg = ModelConfig(vocab_size=256, d_model=32, n_heads=4, d_ff=64, n_enc_layers=1,
+                      n_dec_layers=0, max_positions=64, dropout=0.0)
+    params = {name: T.parameter(arr, name)
+              for name, arr in fresh_params(cfg, "encoder_mlm", 0).items()}
+    model = EncoderMlm(cfg, params)
+    state = OptimizerState(params)
+    rng = np.random.default_rng(0)
+    batches = [_mask_batch(rng.integers(5, 256, size=(16, 34)), 256, 0.15, rng)
+               for _ in range(25)]
+
+    def step(corrupted, targets):
+        with T.Tape():
+            logits = model.logits(corrupted)
+            T.backward(T.cross_entropy(T.reshape(logits, (16 * 34, 256)),
+                                       targets.reshape(-1), ignore_id=-1))
+        adam_step(params, state, CFG, lr=1e-3)
+        state.zero_grad()
+
+    for batch in batches[:5]:
+        step(*batch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for batch in batches[5:]:
+        step(*batch)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"20 training steps made {faults} minor page faults"
 
 
 def test_lr_schedule_shape():
