@@ -2,7 +2,7 @@
 
 from .assembly import AssemblyMode, Checkpoint, assemble, load_checkpoint, save_checkpoint
 from .corpus import CorpusExample, compute_stats, load_jsonl, split
-from .decoding import beam_search, greedy_decode
+from .decoding import beam_search
 from .model import EncoderDecoderModel, ModelConfig
 from .rouge import RougeScore, corpus_rouge, rouge_l, rouge_n
 from .tokenizer import Vocabulary, decode, encode, train_bpe
@@ -14,6 +14,6 @@ __all__ = [
     "AssemblyMode", "Checkpoint", "CorpusExample", "EncoderDecoderModel",
     "ModelConfig", "RougeScore", "TrainConfig", "Vocabulary",
     "assemble", "beam_search", "compute_stats", "corpus_rouge", "decode", "encode",
-    "finetune", "greedy_decode", "load_checkpoint", "load_jsonl", "pretrain_mlm",
+    "finetune", "load_checkpoint", "load_jsonl", "pretrain_mlm",
     "rouge_l", "rouge_n", "save_checkpoint", "split", "train_bpe",
 ]

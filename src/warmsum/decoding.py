@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DataError
-from .model import DecoderCache, EncoderDecoderModel, pad_mask_from_ids
+from .model import DecoderCache, EncoderDecoderModel, pad_batch, pad_mask_from_ids
 from .tokenizer import BOS, EOS, PAD
 
 BANNED_GENERATION_IDS = (PAD, BOS)
@@ -74,9 +74,7 @@ def greedy_decode_batch(model: EncoderDecoderModel, srcs: list[list[int]],
 
 def _greedy_chunk(model: EncoderDecoderModel, srcs: list[list[int]],
                   max_len: int) -> list[np.ndarray]:
-    src = np.full((len(srcs), max(len(s) for s in srcs)), PAD, dtype=np.int64)
-    for i, s in enumerate(srcs):
-        src[i, :len(s)] = s
+    src = pad_batch(srcs)
     src_real = pad_mask_from_ids(src)
     memory = model.encode(src)
 
@@ -94,10 +92,6 @@ def _greedy_chunk(model: EncoderDecoderModel, srcs: list[list[int]],
         if done.all():
             break
     return [row[row != PAD] for row in np.stack(steps, axis=1)]
-
-
-def greedy_decode(model: EncoderDecoderModel, src: list[int], max_len: int) -> np.ndarray:
-    return greedy_decode_batch(model, [src], max_len)[0]
 
 
 def beam_search(model: EncoderDecoderModel, src: list[int], beam_size: int,

@@ -9,6 +9,9 @@ tensor, two uses), so logits are exactly hidden @ E^T.
 Parameters live in a flat dict keyed by canonical dotted names, e.g.
 ``encoder.layer.0.self_attn.q.weight``; each attention or feed-forward
 group carries its own following layer norm (``...self_attn.norm.gain``).
+
+Both models run their forward pass through the private methods of one base
+class; each model's `forward_loss` is the loss a training step minimises.
 """
 
 from __future__ import annotations
@@ -117,8 +120,16 @@ def validate_params(params: dict, cfg: ModelConfig, kind: str) -> None:
             raise ShapeMismatchError(f"parameter {name} has shape {got}, expected {shape}")
 
 
-def pad_mask_from_ids(ids: np.ndarray, pad_id: int = PAD) -> np.ndarray:
-    return np.asarray(ids) != pad_id
+def pad_batch(seqs: list[list[int]]) -> np.ndarray:
+    """Rows of ids, PAD-filled to the longest."""
+    out = np.full((len(seqs), max(len(s) for s in seqs)), PAD, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        out[i, :len(s)] = s
+    return out
+
+
+def pad_mask_from_ids(ids: np.ndarray) -> np.ndarray:
+    return np.asarray(ids) != PAD
 
 
 def _key_mask(real: np.ndarray) -> np.ndarray:
@@ -157,103 +168,6 @@ class DecoderCache:
             self.cross_mask = self.cross_mask[rows]
 
 
-class _Forward:
-    """One forward pass over a parameter dict; rng enables dropout."""
-
-    def __init__(self, params: dict[str, T.Tensor], cfg: ModelConfig,
-                 rng: np.random.Generator | None):
-        self.p = params
-        self.cfg = cfg
-        self.rng = rng
-
-    def drop(self, x: T.Tensor) -> T.Tensor:
-        if self.rng is None or self.cfg.dropout == 0.0:
-            return x
-        return T.dropout(x, self.cfg.dropout, self.rng)
-
-    def linear(self, name: str, x: T.Tensor) -> T.Tensor:
-        return T.linear(x, self.p[f"{name}.weight"], self.p[f"{name}.bias"])
-
-    def add_norm(self, name: str, x: T.Tensor, y: T.Tensor) -> T.Tensor:
-        return T.add_layer_norm(x, y, self.p[f"{name}.gain"], self.p[f"{name}.bias"], LN_EPS)
-
-    def _heads(self, x: T.Tensor) -> T.Tensor:
-        return T.split_heads(x, self.cfg.n_heads)
-
-    def attention(self, prefix: str, x_q: T.Tensor, x_kv: T.Tensor,
-                  add_mask: np.ndarray | None, cache: DecoderCache | None = None) -> T.Tensor:
-        """Multi-head attention of x_q over x_kv; x_kv is x_q for self-attention.
-
-        With a cache, self-attention appends this call's keys and values to the
-        cached ones, and cross-attention projects x_kv on the first call only.
-        """
-        q = self._heads(self.linear(f"{prefix}.q", x_q))
-        cached = cache.kv.get(prefix) if cache is not None else None
-        if cached is not None and x_kv is not x_q:
-            k, v = cached
-        else:
-            k = self._heads(self.linear(f"{prefix}.k", x_kv))
-            v = self._heads(self.linear(f"{prefix}.v", x_kv))
-            if cached is not None:
-                k = T.Tensor(np.concatenate([cached[0].data, k.data], axis=2))
-                v = T.Tensor(np.concatenate([cached[1].data, v.data], axis=2))
-            if cache is not None:
-                cache.kv[prefix] = (k, v)
-        attn = self.drop(T.attention_probs(q, k, 1.0 / np.sqrt(self.cfg.head_dim), add_mask))
-        return self.linear(f"{prefix}.o", T.merge_heads(T.matmul(attn, v)))
-
-    def feed_forward(self, prefix: str, x: T.Tensor) -> T.Tensor:
-        return self.linear(f"{prefix}.out", T.gelu(self.linear(f"{prefix}.in", x)))
-
-    def sublayer(self, prefix: str, x: T.Tensor, out: T.Tensor) -> T.Tensor:
-        return self.add_norm(f"{prefix}.norm", x, self.drop(out))
-
-    def embed(self, prefix: str, ids: np.ndarray, start: int = 0) -> T.Tensor:
-        """Token plus position embeddings; the first column is position `start`."""
-        b, l = ids.shape
-        if start + l > self.cfg.max_positions:
-            raise DataError(f"sequence length {start + l} exceeds max_positions "
-                            f"{self.cfg.max_positions}")
-        x = T.embedding_lookup(self.p[f"{prefix}.embed.token"], ids)
-        pos = T.position_lookup(self.p[f"{prefix}.embed.position"], start, b, l)
-        return self.drop(self.add_norm(f"{prefix}.embed.norm", x, pos))
-
-    def encoder_stack(self, src_ids: np.ndarray, src_real: np.ndarray) -> T.Tensor:
-        mask = _key_mask(src_real)
-        x = self.embed("encoder", src_ids)
-        for i in range(self.cfg.n_enc_layers):
-            base = f"encoder.layer.{i}"
-            x = self.sublayer(f"{base}.self_attn", x,
-                              self.attention(f"{base}.self_attn", x, x, mask))
-            x = self.sublayer(f"{base}.ff", x, self.feed_forward(f"{base}.ff", x))
-        return x
-
-    def decoder_stack(self, tgt_ids: np.ndarray, memory: T.Tensor, src_real: np.ndarray,
-                      cache: DecoderCache | None = None) -> T.Tensor:
-        """Decoder states of tgt_ids; with a cache, tgt_ids are the positions after it."""
-        if cache is None:
-            start, cross_mask = 0, _key_mask(src_real)
-        else:
-            if T.recording():
-                raise RuntimeError("a decoder cache is for inference only; "
-                                   "cached keys and values carry no graph")
-            if cache.cross_mask is None:
-                cache.cross_mask = _key_mask(src_real)
-            start, cross_mask = cache.length, cache.cross_mask
-        causal = _causal_mask(tgt_ids.shape[1], start)
-        x = self.embed("decoder", tgt_ids, start)
-        for i in range(self.cfg.n_dec_layers):
-            base = f"decoder.layer.{i}"
-            x = self.sublayer(f"{base}.self_attn", x,
-                              self.attention(f"{base}.self_attn", x, x, causal, cache))
-            x = self.sublayer(f"{base}.cross_attn", x,
-                              self.attention(f"{base}.cross_attn", x, memory, cross_mask, cache))
-            x = self.sublayer(f"{base}.ff", x, self.feed_forward(f"{base}.ff", x))
-        if cache is not None:
-            cache.length = start + tgt_ids.shape[1]
-        return x
-
-
 class _Model:
     """A parameter dict of one checkpoint kind, run in train or eval mode."""
 
@@ -280,6 +194,67 @@ class _Model:
         self._rng = None
         return self
 
+    def _drop(self, x: T.Tensor) -> T.Tensor:
+        if self._rng is None or self.config.dropout == 0.0:
+            return x
+        return T.dropout(x, self.config.dropout, self._rng)
+
+    def _linear(self, name: str, x: T.Tensor) -> T.Tensor:
+        return T.linear(x, self.params[f"{name}.weight"], self.params[f"{name}.bias"])
+
+    def _add_norm(self, name: str, x: T.Tensor, y: T.Tensor) -> T.Tensor:
+        return T.add_layer_norm(x, y, self.params[f"{name}.gain"], self.params[f"{name}.bias"],
+                                LN_EPS)
+
+    def _attention(self, prefix: str, x_q: T.Tensor, x_kv: T.Tensor,
+                   add_mask: np.ndarray | None, cache: DecoderCache | None = None) -> T.Tensor:
+        """Multi-head attention of x_q over x_kv; x_kv is x_q for self-attention.
+
+        With a cache, self-attention appends this call's keys and values to the
+        cached ones, and cross-attention projects x_kv on the first call only.
+        """
+        n_heads = self.config.n_heads
+        q = T.split_heads(self._linear(f"{prefix}.q", x_q), n_heads)
+        cached = cache.kv.get(prefix) if cache is not None else None
+        if cached is not None and x_kv is not x_q:
+            k, v = cached
+        else:
+            k = T.split_heads(self._linear(f"{prefix}.k", x_kv), n_heads)
+            v = T.split_heads(self._linear(f"{prefix}.v", x_kv), n_heads)
+            if cached is not None:
+                k = T.Tensor(np.concatenate([cached[0].data, k.data], axis=2))
+                v = T.Tensor(np.concatenate([cached[1].data, v.data], axis=2))
+            if cache is not None:
+                cache.kv[prefix] = (k, v)
+        attn = self._drop(T.attention_probs(q, k, 1.0 / np.sqrt(self.config.head_dim), add_mask))
+        return self._linear(f"{prefix}.o", T.merge_heads(T.matmul(attn, v)))
+
+    def _feed_forward(self, prefix: str, x: T.Tensor) -> T.Tensor:
+        return self._linear(f"{prefix}.out", T.gelu(self._linear(f"{prefix}.in", x)))
+
+    def _sublayer(self, prefix: str, x: T.Tensor, out: T.Tensor) -> T.Tensor:
+        return self._add_norm(f"{prefix}.norm", x, self._drop(out))
+
+    def _embed(self, prefix: str, ids: np.ndarray, start: int = 0) -> T.Tensor:
+        """Token plus position embeddings; the first column is position `start`."""
+        b, l = ids.shape
+        if start + l > self.config.max_positions:
+            raise DataError(f"sequence length {start + l} exceeds max_positions "
+                            f"{self.config.max_positions}")
+        x = T.embedding_lookup(self.params[f"{prefix}.embed.token"], ids)
+        pos = T.position_lookup(self.params[f"{prefix}.embed.position"], start, b, l)
+        return self._drop(self._add_norm(f"{prefix}.embed.norm", x, pos))
+
+    def _encoder_stack(self, src_ids: np.ndarray, src_real: np.ndarray) -> T.Tensor:
+        mask = _key_mask(src_real)
+        x = self._embed("encoder", src_ids)
+        for i in range(self.config.n_enc_layers):
+            base = f"encoder.layer.{i}"
+            x = self._sublayer(f"{base}.self_attn", x,
+                               self._attention(f"{base}.self_attn", x, x, mask))
+            x = self._sublayer(f"{base}.ff", x, self._feed_forward(f"{base}.ff", x))
+        return x
+
 
 class EncoderDecoderModel(_Model):
     kind = "encoder_decoder"
@@ -290,8 +265,7 @@ class EncoderDecoderModel(_Model):
 
     def encode(self, src_ids: np.ndarray) -> T.Tensor:
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        fwd = _Forward(self.params, self.config, self._rng)
-        return fwd.encoder_stack(src_ids, pad_mask_from_ids(src_ids))
+        return self._encoder_stack(src_ids, pad_mask_from_ids(src_ids))
 
     def decode_logits(self, tgt_ids: np.ndarray, memory: T.Tensor, src_pad_mask: np.ndarray,
                       cache: DecoderCache | None = None) -> T.Tensor:
@@ -302,8 +276,7 @@ class EncoderDecoderModel(_Model):
         cache grows by them.
         """
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
-        fwd = _Forward(self.params, self.config, self._rng)
-        h = fwd.decoder_stack(tgt_ids, memory, np.asarray(src_pad_mask), cache)
+        h = self._decoder_stack(tgt_ids, memory, np.asarray(src_pad_mask), cache)
         return T.matmul(h, T.transpose(self.output_matrix))
 
     def forward_loss(self, src_ids: np.ndarray, tgt_ids: np.ndarray) -> T.Tensor:
@@ -317,6 +290,32 @@ class EncoderDecoderModel(_Model):
         flat = T.reshape(logits, (b * l, v))
         targets = tgt_ids[:, 1:].reshape(-1)
         return T.cross_entropy(flat, targets, ignore_id=PAD)
+
+    def _decoder_stack(self, tgt_ids: np.ndarray, memory: T.Tensor, src_real: np.ndarray,
+                       cache: DecoderCache | None = None) -> T.Tensor:
+        """Decoder states of tgt_ids; with a cache, tgt_ids are the positions after it."""
+        if cache is None:
+            start, cross_mask = 0, _key_mask(src_real)
+        else:
+            if T.recording():
+                raise RuntimeError("a decoder cache is for inference only; "
+                                   "cached keys and values carry no graph")
+            if cache.cross_mask is None:
+                cache.cross_mask = _key_mask(src_real)
+            start, cross_mask = cache.length, cache.cross_mask
+        causal = _causal_mask(tgt_ids.shape[1], start)
+        x = self._embed("decoder", tgt_ids, start)
+        for i in range(self.config.n_dec_layers):
+            base = f"decoder.layer.{i}"
+            x = self._sublayer(f"{base}.self_attn", x,
+                               self._attention(f"{base}.self_attn", x, x, causal, cache))
+            x = self._sublayer(f"{base}.cross_attn", x,
+                               self._attention(f"{base}.cross_attn", x, memory, cross_mask,
+                                               cache))
+            x = self._sublayer(f"{base}.ff", x, self._feed_forward(f"{base}.ff", x))
+        if cache is not None:
+            cache.length = start + tgt_ids.shape[1]
+        return x
 
 
 def _check_target_framing(tgt_ids: np.ndarray) -> None:
@@ -341,7 +340,12 @@ class EncoderMlm(_Model):
 
     def logits(self, ids: np.ndarray) -> T.Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        fwd = _Forward(self.params, self.config, self._rng)
-        h = fwd.encoder_stack(ids, pad_mask_from_ids(ids))
+        h = self._encoder_stack(ids, pad_mask_from_ids(ids))
         return T.linear(h, T.transpose(self.params["encoder.embed.token"]),
                         self.params["mlm.bias"])
+
+    def forward_loss(self, ids: np.ndarray, targets: np.ndarray) -> T.Tensor:
+        """Masked-token loss: mean cross-entropy where targets is not -1."""
+        logits = self.logits(ids)
+        b, l, v = logits.shape
+        return T.cross_entropy(T.reshape(logits, (b * l, v)), targets.reshape(-1), ignore_id=-1)

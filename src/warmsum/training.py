@@ -5,6 +5,9 @@ decisions and dropout all draw from one PCG64 stream seeded by the config.
 The learning rate warms up linearly for `warmup_steps` then decays linearly
 to zero at `total_steps`. Adam, gradient clipping and MLM masking use the
 fixed constants below.
+
+Both phases run one optimisation step, `_train_step`, on the model's
+`forward_loss`; an `OptimizerState` arena owns the parameters and gradients.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from . import tensor as T
 from .assembly import Checkpoint, checkpoint_hash, fresh_params
 from .decoding import greedy_decode_batch
 from .errors import DataError, NumericError
-from .model import EncoderDecoderModel, EncoderMlm, ModelConfig
+from .model import EncoderDecoderModel, EncoderMlm, ModelConfig, pad_batch
 from .rouge import rouge_l
 from .tokenizer import BOS, EOS, MASK, PAD, NUM_SPECIALS, Vocabulary, decode, encode
 
@@ -62,9 +65,10 @@ class OptimizerState:
     Building one builds the arena: every parameter's values move into one
     contiguous float64 buffer, in sorted-name order, and its `data` becomes a
     view of its slice; its `grad` becomes a view of the same slice of a
-    second, zeroed buffer, so backward accumulates into the arena. Adam and
-    `zero_grad` then run on whole buffers. `m` and `v` map each name to its
-    view of the flat moments.
+    second buffer, `grad`, so backward accumulates into the arena. The arena
+    owns the gradients from then on: Adam reads only `grad`, and `m` and `v`
+    are its flat moments. Replace or clear a parameter's `grad` and Adam no
+    longer sees that parameter's gradient.
     """
 
     def __init__(self, params: dict[str, T.Tensor]):
@@ -73,41 +77,27 @@ class OptimizerState:
         self.spans = list(zip(offsets[:-1], offsets[1:]))
         size = offsets[-1]
         self.data, self.grad = np.empty(size), np.zeros(size)
-        self.m_flat, self.v_flat = np.zeros(size), np.zeros(size)
+        self.m, self.v = np.zeros(size), np.zeros(size)
         # adam_step's temporaries: arrays of the arena's size, allocated anew on
         # every step, would be mapped and unmapped by the allocator each time
         self.work = np.empty((3, size))
-        self.grads: dict[str, np.ndarray] = {}
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
         self.step = 0
         for name, (lo, hi) in zip(self.names, self.spans):
             p = params[name]
             shape = p.data.shape
             self.data[lo:hi] = p.data.reshape(-1)
             p.data = self.data[lo:hi].reshape(shape)
-            self.grads[name] = self.grad[lo:hi].reshape(shape)
+            grad = self.grad[lo:hi].reshape(shape)
             if p.grad is not None:  # a backward that ran before the arena existed
-                self.grads[name][...] = p.grad
-            p.grad = self.grads[name]
-            self.m[name] = self.m_flat[lo:hi].reshape(shape)
-            self.v[name] = self.v_flat[lo:hi].reshape(shape)
+                grad[...] = p.grad
+            p.grad = grad
 
     def zero_grad(self) -> None:
         self.grad.fill(0.0)
 
 
-def adam_step(params: dict[str, T.Tensor], state: OptimizerState,
-              cfg: TrainConfig, lr: float | None = None) -> None:
+def adam_step(state: OptimizerState, lr: float) -> None:
     """One Adam update of the arena in place; grads are clipped by global norm first."""
-    if lr is None:
-        lr = cfg.learning_rate
-    for name, g in state.grads.items():
-        p = params[name]
-        if p.grad is not g:  # a grad cleared or replaced outside the arena
-            g[...] = 0.0 if p.grad is None else p.grad
-            p.grad = g
-
     grad, (a, b, clipped) = state.grad, state.work
     sq = np.multiply(grad, grad, out=a)
     # per-tensor sums added in sorted-name order, as the norm has always been taken
@@ -125,7 +115,7 @@ def adam_step(params: dict[str, T.Tensor], state: OptimizerState,
     bc2 = 1.0 - BETA2**t
     # m = BETA1 * m + (1 - BETA1) * g and v = BETA2 * v + (1 - BETA2) * g * g,
     # then data -= lr * m_hat / (sqrt(v_hat) + eps), each product in that order
-    m, v = state.m_flat, state.v_flat
+    m, v = state.m, state.v
     m *= BETA1
     m += np.multiply(grad, 1.0 - BETA1, out=a)
     v *= BETA2
@@ -139,15 +129,6 @@ def adam_step(params: dict[str, T.Tensor], state: OptimizerState,
 
 # ---------------------------------------------------------------------------
 # batching helpers
-
-
-def pad_batch(seqs: list[list[int]], length: int | None = None) -> np.ndarray:
-    if length is None:
-        length = max(len(s) for s in seqs)
-    out = np.full((len(seqs), length), PAD, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        out[i, :len(s)] = s
-    return out
 
 
 def frame_ids(ids: list[int], max_len: int) -> list[int]:
@@ -181,6 +162,22 @@ class MetricsLog:
         if self._path is not None:
             with open(self._path, "a", encoding="utf-8") as f:
                 f.write(f"{step},{split},{loss:.6f},{'' if rouge is None else f'{rouge:.6f}'}\n")
+
+
+def _train_step(model, state: OptimizerState, cfg: TrainConfig, step: int,
+                rng: np.random.Generator, loss_of, what: str) -> float:
+    """Tape `loss_of()` and its backward in train mode, then Adam at `lr_at(step)`;
+    returns the loss. A non-finite loss raises before any parameter moves."""
+    model.train(rng)
+    with T.Tape():
+        loss = loss_of()
+        T.backward(loss)
+    loss_val = loss.item()
+    if not math.isfinite(loss_val):
+        raise NumericError(f"non-finite {what} loss at step {step}")
+    adam_step(state, lr_at(step, cfg))
+    state.zero_grad()
+    return loss_val
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +232,8 @@ def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,
         idx = rng.integers(0, len(seqs), size=cfg.batch_size)
         batch = pad_batch([seqs[i] for i in idx])
         corrupted, targets = _mask_batch(batch, model_cfg.vocab_size, MLM_MASK_PROB, rng)
-        model.train(rng)
-        with T.Tape():
-            logits = model.logits(corrupted)
-            b, l, v = logits.shape
-            loss = T.cross_entropy(T.reshape(logits, (b * l, v)),
-                                   targets.reshape(-1), ignore_id=-1)
-            T.backward(loss)
-        loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise NumericError(f"non-finite MLM loss at step {step}")
-        adam_step(params, state, cfg, lr=lr_at(step, cfg))
-        state.zero_grad()
+        loss_val = _train_step(model, state, cfg, step, rng,
+                               lambda: model.forward_loss(corrupted, targets), "MLM")
         if step % log_every == 0 or step == 1:
             log.add(step, "train", loss_val)
 
@@ -355,15 +342,8 @@ def finetune(ckpt: Checkpoint, train_set, dev_set, vocab: Vocabulary,
         idx = rng.integers(0, len(train_pairs), size=cfg.batch_size)
         src = pad_batch([train_pairs[i][0] for i in idx])
         tgt = pad_batch([train_pairs[i][1] for i in idx])
-        model.train(rng)
-        with T.Tape():
-            loss = model.forward_loss(src, tgt)
-            T.backward(loss)
-        loss_val = loss.item()
-        if not math.isfinite(loss_val):
-            raise NumericError(f"non-finite fine-tuning loss at step {step}")
-        adam_step(params, state, cfg, lr=lr_at(step, cfg))
-        state.zero_grad()
+        loss_val = _train_step(model, state, cfg, step, rng,
+                               lambda: model.forward_loss(src, tgt), "fine-tuning")
 
         if step % eval_every == 0 or step == cfg.total_steps:
             log.add(step, "train", loss_val)

@@ -21,7 +21,7 @@ from warmsum.assembly import (AssemblyMode, assemble, load_checkpoint,
                               load_checkpoint_bytes, save_checkpoint_bytes,
                               structural_diff)
 from warmsum.corpus import CorpusStats, load_jsonl, render_stats_table
-from warmsum.decoding import (beam_search, greedy_decode, greedy_decode_batch,
+from warmsum.decoding import (beam_search, greedy_decode_batch,
                               length_penalty, sequence_logprob)
 from warmsum.experiment import ExperimentConfig, pretraining_lines, run_experiment
 from warmsum.model import EncoderDecoderModel, ModelConfig
@@ -343,14 +343,13 @@ def test_a5_causality_and_tying():
         with T.Tape():
             T.backward(model.forward_loss(src, tgt))
         state = OptimizerState(model.params)
-        adam_step(model.params, state, TrainConfig(learning_rate=1e-3))
+        adam_step(state, 1e-3)
         emb = model.params["decoder.embed.token"]
         assert model.output_matrix is emb
-        from warmsum.model import _Forward
 
         memory2 = model.encode(src)
         logits = model.decode_logits(tgt, memory2, real)
-        hidden = _Forward(model.params, TINY, None).decoder_stack(tgt, memory2, real)
+        hidden = model._decoder_stack(tgt, memory2, real)
         assert np.array_equal(logits.data, hidden.data @ emb.data.T)
     print(f"\nA5 causality and tying: PASS  (100 cases, worst past-logit drift "
           f"{worst:.2e} <= 1e-10, tied storage identity after Adam)")
@@ -422,7 +421,7 @@ def test_a8_decoding():
     for case in range(100):
         model = _tiny_model(3000 + case)
         src = [BOS, *rng.integers(5, TINY.vocab_size, size=3).tolist(), EOS]
-        greedy = greedy_decode(model, src, max_len=5)
+        greedy = greedy_decode_batch(model, [src], max_len=5)[0]
         beam = beam_search(model, src, beam_size=1, max_len=5, length_penalty_alpha=0.0)
         assert np.array_equal(greedy, beam), f"case {case}: beam-1 != greedy"
 

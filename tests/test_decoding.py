@@ -4,8 +4,8 @@ import pytest
 from warmsum import tensor as T
 from warmsum.assembly import AssemblyMode, assemble
 from warmsum.decoding import (BANNED_GENERATION_IDS, BeamHypothesis, adjusted_score,
-                              beam_search, beam_search_hypothesis, greedy_decode,
-                              greedy_decode_batch, length_penalty, sequence_logprob)
+                              beam_search, beam_search_hypothesis, greedy_decode_batch,
+                              length_penalty, sequence_logprob)
 from warmsum.errors import DataError
 from warmsum.model import EncoderDecoderModel, ModelConfig
 from warmsum.tokenizer import BOS, EOS, PAD
@@ -17,6 +17,10 @@ def random_model(seed, vocab_size=12, max_positions=16, layers=1):
                       dropout=0.0)
     return EncoderDecoderModel.from_checkpoint(
         assemble(None, AssemblyMode.RND2RND, cfg, seed=seed))
+
+
+def greedy_one(model, src, max_len):
+    return greedy_decode_batch(model, [src], max_len)[0]
 
 
 def random_src(rng, vocab_size=12, length=5):
@@ -94,14 +98,14 @@ def enumerate_decodable(model, src, max_len, alpha):
 def test_greedy_is_deterministic():
     model = random_model(0)
     src = random_src(np.random.default_rng(0))
-    a = greedy_decode(model, src, max_len=8)
-    b = greedy_decode(model, src, max_len=8)
+    a = greedy_one(model, src, max_len=8)
+    b = greedy_one(model, src, max_len=8)
     assert np.array_equal(a, b)
 
 
 def test_greedy_max_len_one():
     model = random_model(1)
-    out = greedy_decode(model, random_src(np.random.default_rng(1)), max_len=1)
+    out = greedy_one(model, random_src(np.random.default_rng(1)), max_len=1)
     assert len(out) == 2 and out[0] == BOS
 
 
@@ -109,7 +113,7 @@ def test_greedy_output_structure():
     rng = np.random.default_rng(2)
     for seed in range(10):
         model = random_model(seed)
-        out = greedy_decode(model, random_src(rng), max_len=6)
+        out = greedy_one(model, random_src(rng), max_len=6)
         assert out[0] == BOS
         assert PAD not in out
         assert out[-1] == EOS or len(out) == 7
@@ -120,7 +124,7 @@ def test_greedy_batch_matches_single():
     rng = np.random.default_rng(3)
     srcs = [random_src(rng, length=l) for l in (4, 5, 6)]
     batch = greedy_decode_batch(model, srcs, max_len=8)
-    singles = [greedy_decode(model, s, max_len=8) for s in srcs]
+    singles = [greedy_one(model, s, max_len=8) for s in srcs]
     for b, s in zip(batch, singles):
         assert np.array_equal(b, s)
 
@@ -141,7 +145,7 @@ def test_greedy_tokens_are_the_teacher_forced_argmax():
 def test_greedy_rejects_overlong_max_len():
     model = random_model(4, max_positions=8)
     with pytest.raises(DataError):
-        greedy_decode(model, [BOS, 6, EOS], max_len=8)
+        greedy_one(model, [BOS, 6, EOS], max_len=8)
 
 
 # -- beam search ----------------------------------------------------------------
@@ -152,7 +156,7 @@ def test_beam_one_alpha_zero_equals_greedy():
     for seed in range(20):
         model = random_model(seed)
         src = random_src(rng)
-        greedy = greedy_decode(model, src, max_len=6)
+        greedy = greedy_one(model, src, max_len=6)
         beam = beam_search(model, src, beam_size=1, max_len=6, length_penalty_alpha=0.0)
         assert np.array_equal(greedy, beam), f"seed {seed}"
 

@@ -6,7 +6,7 @@ from warmsum import tensor as T
 from warmsum.assembly import AssemblyMode, assemble
 from warmsum.errors import DataError, ShapeMismatchError
 from warmsum.model import (DecoderCache, EncoderDecoderModel, EncoderMlm, ModelConfig,
-                           _Forward, expected_param_shapes, validate_params)
+                           expected_param_shapes, validate_params)
 from warmsum.tokenizer import BOS, EOS, PAD
 
 TINY = ModelConfig(vocab_size=20, d_model=8, n_heads=2, d_ff=16,
@@ -70,8 +70,7 @@ def test_zero_layer_encoder_returns_embeddings():
     model = tiny_model(config=cfg)
     src = np.array([[BOS, 6, 7, EOS]])
     out = model.encode(src)
-    fwd = _Forward(model.params, cfg, None)
-    embedded = fwd.embed("encoder", src)
+    embedded = model._embed("encoder", src)
     assert np.array_equal(out.data, embedded.data)
 
 
@@ -121,8 +120,7 @@ def test_tied_logits_are_hidden_times_embedding_transpose():
     real = src != PAD
     memory = model.encode(src)
     logits = model.decode_logits(tgt, memory, real)
-    fwd = _Forward(model.params, TINY, None)
-    hidden = fwd.decoder_stack(tgt, memory, real)
+    hidden = model._decoder_stack(tgt, memory, real)
     manual = hidden.data @ model.params["decoder.embed.token"].data.T
     assert np.array_equal(logits.data, manual)
     assert model.output_matrix is model.params["decoder.embed.token"]
@@ -299,7 +297,6 @@ def test_mlm_head_ties_encoder_embedding():
     ids = np.array([[BOS, 6, 7, EOS]])
     logits = mlm.logits(ids)
     assert logits.shape == (1, 4, TINY.vocab_size)
-    fwd = _Forward(params, TINY, None)
-    hidden = fwd.encoder_stack(ids, ids != PAD)
+    hidden = mlm._encoder_stack(ids, ids != PAD)
     manual = hidden.data @ params["encoder.embed.token"].data.T + params["mlm.bias"].data
     assert np.array_equal(logits.data, manual)

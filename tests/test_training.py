@@ -9,15 +9,13 @@ from warmsum import tensor as T
 from warmsum.assembly import AssemblyMode, assemble, fresh_params, save_checkpoint_bytes
 from warmsum.corpus import CorpusExample
 from warmsum.errors import DataError, NumericError
-from warmsum.model import EncoderDecoderModel, EncoderMlm, ModelConfig
+from warmsum.model import EncoderDecoderModel, EncoderMlm, ModelConfig, pad_batch
 from warmsum.synthetic import SyntheticSettings, generate_corpus
 from warmsum.tokenizer import BOS, EOS, MASK, PAD, encode, train_bpe
 from warmsum.training import (ADAM_EPS, BETA1, BETA2, GRADIENT_CLIP_NORM, MetricsLog,
                               OptimizerState, TrainConfig, _mask_batch, adam_step,
                               encode_pairs, evaluate_mlm, finetune, frame_ids, lr_at,
-                              pad_batch, pretrain_mlm, unigram_entropy)
-
-CFG = TrainConfig(learning_rate=0.1, warmup_steps=10, total_steps=100)
+                              pretrain_mlm, unigram_entropy)
 
 
 def _param(value, name="p"):
@@ -27,9 +25,9 @@ def _param(value, name="p"):
 
 def test_adam_first_step_closed_form():
     params = _param([1.0])
-    params["p"].grad = np.array([1.0])
     state = OptimizerState(params)
-    adam_step(params, state, CFG)
+    params["p"].grad[...] = 1.0
+    adam_step(state, 0.1)
     # bias-corrected m_hat = v_hat = 1, so the step is lr / (1 + eps)
     assert params["p"].data[0] == pytest.approx(1.0 - 0.1, abs=1e-8)
     assert state.step == 1
@@ -37,34 +35,29 @@ def test_adam_first_step_closed_form():
 
 def test_adam_zero_gradient_keeps_params():
     params = _param([2.5])
-    params["p"].grad = np.array([0.0])
     state = OptimizerState(params)
-    adam_step(params, state, CFG)
+    params["p"].grad[...] = 0.0
+    adam_step(state, 0.1)
     assert params["p"].data[0] == 2.5
     assert state.step == 1
-    # a missing grad behaves like a zero grad
-    params["p"].grad = None
-    adam_step(params, state, CFG)
-    assert params["p"].data[0] == 2.5
-    assert state.step == 2
 
 
 def test_adam_global_norm_clipping_halves_gradient():
     assert GRADIENT_CLIP_NORM == 1.0
     params = _param([0.0, 0.0])
-    params["p"].grad = np.array([1.2, 1.6])  # norm 2.0 -> scaled by 0.5
     state = OptimizerState(params)
-    adam_step(params, state, CFG)
-    assert np.allclose(state.m["p"], 0.1 * np.array([0.6, 0.8]))
-    assert np.allclose(state.v["p"], 0.001 * np.array([0.6, 0.8]) ** 2)
+    params["p"].grad[...] = [1.2, 1.6]  # norm 2.0 -> scaled by 0.5
+    adam_step(state, 0.1)
+    assert np.allclose(state.m, 0.1 * np.array([0.6, 0.8]))
+    assert np.allclose(state.v, 0.001 * np.array([0.6, 0.8]) ** 2)
 
 
 def test_adam_rejects_nan_gradient_naming_parameter():
     params = _param([1.0], name="encoder.embed.token")
-    params["encoder.embed.token"].grad = np.array([np.nan])
     state = OptimizerState(params)
+    params["encoder.embed.token"].grad[...] = np.nan
     with pytest.raises(NumericError, match="encoder.embed.token"):
-        adam_step(params, state, CFG)
+        adam_step(state, 0.1)
 
 
 def _chain_ops():
@@ -137,13 +130,16 @@ def _train_steps(update, steps=12, seed=4):
 
 
 def test_fused_ops_and_arena_train_bit_identically_to_primitive_ops(monkeypatch):
+    states = []
+
     def arena_update(params):
         state = OptimizerState(params)
         for p in params.values():
             assert np.shares_memory(p.data, state.data) and np.shares_memory(p.grad, state.grad)
+        states.append(state)
 
         def step_fn(step, lr):
-            adam_step(params, state, CFG, lr=lr)
+            adam_step(state, lr)
             state.zero_grad()
         return step_fn
 
@@ -160,6 +156,10 @@ def test_fused_ops_and_arena_train_bit_identically_to_primitive_ops(monkeypatch)
     assert fused_losses[-1] < fused_losses[0]
     for name, p in reference.params.items():
         assert np.array_equal(fused.params[name].data, p.data), name
+    # training left every parameter's values and gradient in the arena
+    for name, p in fused.params.items():
+        assert np.shares_memory(p.data, states[0].data), name
+        assert np.shares_memory(p.grad, states[0].grad), name
 
 
 def _libc_has_mallopt() -> bool:
@@ -187,10 +187,8 @@ def test_training_steps_keep_freed_memory_in_the_process():
 
     def step(corrupted, targets):
         with T.Tape():
-            logits = model.logits(corrupted)
-            T.backward(T.cross_entropy(T.reshape(logits, (16 * 34, 256)),
-                                       targets.reshape(-1), ignore_id=-1))
-        adam_step(params, state, CFG, lr=1e-3)
+            T.backward(model.forward_loss(corrupted, targets))
+        adam_step(state, 1e-3)
         state.zero_grad()
 
     for batch in batches[:5]:
@@ -422,3 +420,19 @@ def test_finetune_rejects_empty_splits(copy_task_setup):
     assembled = assemble(None, AssemblyMode.RND2RND, model_cfg, seed=0)
     with pytest.raises(DataError, match="nonempty"):
         finetune(assembled, [], examples[:4], vocab, TrainConfig())
+
+
+def test_non_finite_loss_names_the_phase_and_step(monkeypatch, chain_setup, copy_task_setup):
+    for cls in (EncoderMlm, EncoderDecoderModel):
+        monkeypatch.setattr(cls, "forward_loss", lambda self, *ids, loss=cls.forward_loss:
+                            T.scale(loss(self, *ids), math.nan))
+    lines, vocab, model_cfg = chain_setup
+    cfg = TrainConfig(total_steps=3, warmup_steps=1, batch_size=8, max_src_len=24)
+    with pytest.raises(NumericError, match="^non-finite MLM loss at step 1$"):
+        pretrain_mlm(lines, vocab, model_cfg, cfg)
+
+    examples, vocab, model_cfg = copy_task_setup
+    assembled = assemble(None, AssemblyMode.RND2RND, model_cfg, seed=0)
+    cfg = TrainConfig(total_steps=3, warmup_steps=1, batch_size=4, max_src_len=20, max_tgt_len=8)
+    with pytest.raises(NumericError, match="^non-finite fine-tuning loss at step 1$"):
+        finetune(assembled, examples[:8], examples[8:12], vocab, cfg)
