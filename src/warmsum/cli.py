@@ -12,16 +12,15 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from . import experiment
 from . import tokenizer as tok
 from .assembly import AssemblyMode, assemble, load_checkpoint, save_checkpoint
-from .decoding import beam_search, greedy_decode_batch
 from .errors import DataError, NumericError
 from .experiment import (ExperimentConfig, config_to_json, encoder_quality_text, load_config,
-                         load_results, run_experiment)
+                         load_results, pretraining_lines, run_experiment, tokenizer_lines)
 from .fileio import write_atomic
-from .model import EncoderDecoderModel
 from .rouge import corpus_rouge, pair_rouge
-from .training import MetricsLog, finetune, frame_ids, pretrain_mlm
+from .training import MetricsLog, finetune, pretrain_mlm
 
 
 class UsageError(Exception):
@@ -33,19 +32,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}{self.prog}: {message}")
 
 
-def _corpus_lines(path: str, fields: str) -> list[str]:
-    examples = corpus_mod.load_jsonl(path)
-    lines = []
-    for name in fields.split(","):
-        name = name.strip()
-        if name not in ("body", "abstract"):
-            raise DataError(f"unknown corpus field {name!r}")
-        lines.extend(getattr(ex, name) for ex in examples)
-    return lines
-
-
 def _cmd_tokenizer_train(args) -> int:
-    vocab = tok.train_bpe(_corpus_lines(args.corpus, args.fields), args.vocab_size)
+    vocab = tok.train_bpe(tokenizer_lines(corpus_mod.load_jsonl(args.corpus)), args.vocab_size)
     tok.save_vocab(vocab, args.out)
     print(f"trained vocabulary of {vocab.size} tokens "
           f"({len(vocab.merges)} merges) -> {args.out}")
@@ -57,7 +45,7 @@ def _cmd_pretrain(args) -> int:
     vocab = tok.load_vocab(args.vocab)
     model_cfg = cfg.model.to_model_config(vocab.size)
     log = MetricsLog(args.log) if args.log else None
-    ckpt = pretrain_mlm(_corpus_lines(args.corpus, args.fields), vocab,
+    ckpt = pretrain_mlm(pretraining_lines(corpus_mod.load_jsonl(args.corpus)), vocab,
                         model_cfg, cfg.pretrain, log)
     ckpt.vocab_ref = str(args.vocab)
     save_checkpoint(ckpt, args.out)
@@ -90,7 +78,8 @@ def _cmd_finetune(args) -> int:
     train_set = corpus_mod.load_jsonl(args.train)
     dev_set = corpus_mod.load_jsonl(args.dev)
     log = MetricsLog(args.log) if args.log else None
-    best, log = finetune(ckpt, train_set, dev_set, vocab, ft_cfg, log)
+    best, log = finetune(ckpt, train_set, dev_set, vocab, ft_cfg, log,
+                         eval_limit=cfg.dev_eval_limit)
     save_checkpoint(best, args.out)
     prov = best.provenance
     print(f"fine-tuned {ft_cfg.total_steps} steps; best dev rouge_l "
@@ -99,19 +88,11 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.max_src_len is not None and args.max_src_len < 2:
-        args.usage_error(f"--max-src-len {args.max_src_len} is below 2, the room for BOS and EOS")
+    cfg = load_config(args.config)
     ckpt = load_checkpoint(args.ckpt)
     vocab = tok.load_vocab(args.vocab)
-    model = EncoderDecoderModel.from_checkpoint(ckpt).eval()
-    max_src = args.max_src_len or ckpt.config.max_positions
-    bodies = _read_lines(args.input)
-    srcs = [frame_ids(tok.encode(body, vocab).ids, max_src) for body in bodies]
-    if args.method == "greedy":
-        outs = greedy_decode_batch(model, srcs, args.max_len)
-    else:
-        outs = [beam_search(model, s, args.beam_size, args.max_len, args.alpha) for s in srcs]
-    write_atomic(args.out, "".join(tok.decode(list(o), vocab) + "\n" for o in outs))
+    outs = experiment._decode_test(cfg, ckpt, _read_lines(args.input), vocab)
+    write_atomic(args.out, "".join(out + "\n" for out in outs))
     print(f"wrote {len(outs)} summaries -> {args.out}")
     return 0
 
@@ -202,14 +183,12 @@ def build_parser() -> _Parser:
                 "train a BPE vocabulary from a JSONL corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--fields", default="body,abstract")
     p.add_argument("--out", required=True)
 
     p = command("pretrain", _cmd_pretrain, "MLM-pretrain an encoder")
     p.add_argument("--config", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--fields", default="body,abstract")
     p.add_argument("--log")
     p.add_argument("--out", required=True)
 
@@ -234,16 +213,13 @@ def build_parser() -> _Parser:
     p.add_argument("--log")
     p.add_argument("--out", required=True)
 
-    p = command("generate", _cmd_generate, "summarize bodies from a file, one per line")
+    p = command("generate", _cmd_generate,
+                "summarize bodies from a file, one per line, as the config decodes")
+    p.add_argument("--config", required=True)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=["greedy", "beam"], default="beam")
-    p.add_argument("--beam-size", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=24)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--max-src-len", type=int)
 
     p = command("evaluate", _cmd_evaluate, "ROUGE between aligned candidate/reference files")
     p.add_argument("--candidates", required=True)

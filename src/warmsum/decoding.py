@@ -28,7 +28,6 @@ GREEDY_CHUNK = 32  # sources decoded together by greedy_decode_batch
 class BeamHypothesis:
     ids: tuple[int, ...]  # BOS-prefixed
     logprob: float
-    finished: bool
 
     def generated_len(self) -> int:
         return len(self.ids) - 1
@@ -134,7 +133,7 @@ def beam_search_hypothesis(model: EncoderDecoderModel, src: list[int], beam_size
 
         finished = (token == EOS) | (step == max_len)
         for p, t, lp in zip(parent[finished], token[finished], cand[finished]):
-            completed.append(BeamHypothesis((*ids[p].tolist(), int(t)), float(lp), True))
+            completed.append(BeamHypothesis((*ids[p].tolist(), int(t)), float(lp)))
         keep = ~finished
         if not keep.any():
             break

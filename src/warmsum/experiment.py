@@ -273,10 +273,14 @@ def _prepare_vocab(cfg: ExperimentConfig, out: Path, train_split) -> tok.Vocabul
     vocab_path = out / "vocab.txt"
     if vocab_path.exists():
         return tok.load_vocab(vocab_path)
-    lines = [ex.body for ex in train_split] + [ex.abstract for ex in train_split]
-    vocab = tok.train_bpe(lines, cfg.tokenizer.target_vocab_size)
+    vocab = tok.train_bpe(tokenizer_lines(train_split), cfg.tokenizer.target_vocab_size)
     tok.save_vocab(vocab, vocab_path)
     return vocab
+
+
+def tokenizer_lines(examples) -> list[str]:
+    """The BPE training text: every body, then every abstract."""
+    return [ex.body for ex in examples] + [ex.abstract for ex in examples]
 
 
 def pretraining_lines(examples) -> list[str]:
@@ -310,10 +314,11 @@ def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
     return ckpt
 
 
-def _decode_test(cfg: ExperimentConfig, model_ckpt, test_split, vocab: tok.Vocabulary):
+def _decode_test(cfg: ExperimentConfig, model_ckpt, bodies: list[str],
+                 vocab: tok.Vocabulary) -> list[str]:
+    """Summaries of the bodies, each framed in the fine-tuning source window."""
     model = EncoderDecoderModel.from_checkpoint(model_ckpt).eval()
-    srcs = [frame_ids(tok.encode(ex.body, vocab).ids, cfg.finetune.max_src_len)
-            for ex in test_split]
+    srcs = [frame_ids(tok.encode(body, vocab).ids, cfg.finetune.max_src_len) for body in bodies]
     dec = cfg.decoding
     if dec.method == "greedy":
         outs = greedy_decode_batch(model, srcs, dec.max_len)
@@ -354,7 +359,7 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
                        MetricsLog(cell / "metrics.csv"), eval_limit=cfg.dev_eval_limit)
     save_checkpoint(best, cell / "best.ckpt")
 
-    decoded = _decode_test(cfg, best, splits["test"], vocab)
+    decoded = _decode_test(cfg, best, [ex.body for ex in splits["test"]], vocab)
     decodes_path = cell / "test_decodes.txt"
     write_atomic(decodes_path, "\n".join(decoded) + "\n")
 

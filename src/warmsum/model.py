@@ -327,6 +327,12 @@ def _check_target_framing(tgt_ids: np.ndarray) -> None:
             raise DataError("target rows must start with BOS and end with EOS before padding")
 
 
+def masked_token_loss(logits: T.Tensor, targets: np.ndarray) -> T.Tensor:
+    """The MLM loss: mean cross-entropy of [B, L, V] logits where targets is not -1."""
+    b, l, v = logits.shape
+    return T.cross_entropy(T.reshape(logits, (b * l, v)), targets.reshape(-1), ignore_id=-1)
+
+
 class EncoderMlm(_Model):
     """Encoder stack with a tied masked-token prediction head.
 
@@ -345,7 +351,4 @@ class EncoderMlm(_Model):
                         self.params["mlm.bias"])
 
     def forward_loss(self, ids: np.ndarray, targets: np.ndarray) -> T.Tensor:
-        """Masked-token loss: mean cross-entropy where targets is not -1."""
-        logits = self.logits(ids)
-        b, l, v = logits.shape
-        return T.cross_entropy(T.reshape(logits, (b * l, v)), targets.reshape(-1), ignore_id=-1)
+        return masked_token_loss(self.logits(ids), targets)

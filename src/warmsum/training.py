@@ -21,7 +21,7 @@ from . import tensor as T
 from .assembly import Checkpoint, checkpoint_hash, fresh_params
 from .decoding import greedy_decode_batch
 from .errors import DataError, NumericError
-from .model import EncoderDecoderModel, EncoderMlm, ModelConfig, pad_batch
+from .model import EncoderDecoderModel, EncoderMlm, ModelConfig, masked_token_loss, pad_batch
 from .rouge import rouge_l
 from .tokenizer import BOS, EOS, MASK, PAD, NUM_SPECIALS, Vocabulary, decode, encode
 
@@ -261,12 +261,10 @@ def evaluate_mlm(ckpt: Checkpoint, lines: list[str], vocab: Vocabulary,
         corrupted, targets = _mask_batch(batch, ckpt.config.vocab_size,
                                          MLM_MASK_PROB, rng)
         logits = model.logits(corrupted)
-        b, l, v = logits.shape
-        flat, targets = T.reshape(logits, (b * l, v)), targets.reshape(-1)
         keep = targets != -1
         n = int(keep.sum())
-        total += T.cross_entropy(flat, targets, ignore_id=-1).item() * n
-        correct += int((flat.data[keep].argmax(axis=1) == targets[keep]).sum())
+        total += masked_token_loss(logits, targets).item() * n
+        correct += int((logits.data[keep].argmax(axis=1) == targets[keep]).sum())
         count += n
     return total / count, correct / count
 

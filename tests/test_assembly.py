@@ -245,13 +245,16 @@ def test_bad_config_keys_rejected(edit, message):
         load_checkpoint_bytes(_with_header(SMALL_BLOB, lambda h: edit(h["config"])))
 
 
-def test_checkpoint_with_retired_config_keys_is_refused():
+def test_checkpoint_with_retired_config_keys_is_refused(tmp_path, capsys):
     # written by an earlier version whose model config had three more options
     path = DATA_DIR / "retired_config_keys.ckpt"
     with pytest.raises(CheckpointError, match="unknown keys"):
         load_checkpoint(path)
-    assert main(["generate", "--ckpt", str(path), "--vocab", "v.txt", "--input", "in.txt",
-                 "--out", "out.txt"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg), "--ckpt", str(path), "--vocab", "v.txt",
+                 "--input", "in.txt", "--out", "out.txt"]) == 2
+    assert "unknown keys" in capsys.readouterr().err
 
 
 @settings(max_examples=300, deadline=None)

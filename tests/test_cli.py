@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR
-from warmsum.cli import main
+from warmsum.cli import build_parser, main
+from warmsum.corpus import load_jsonl
 from warmsum.experiment import config_to_json, config_from_json
 
 from test_experiment import tiny_config
@@ -73,6 +76,17 @@ def test_unknown_flag_is_usage_error():
     assert code == 1
 
 
+def test_readme_cli_examples_parse():
+    readme = (DATA_DIR.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line.split("#")[0].split(">")[0])
+                for line in lines if line.startswith("warmsum ")]
+    assert len(commands) == 10  # one per subcommand
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
 def test_numeric_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     from warmsum import cli
     from warmsum.errors import NumericError
@@ -100,56 +114,42 @@ def test_config_print_defaults_round_trips():
 
 
 @pytest.mark.slow
-def test_cli_pipeline_end_to_end(tmp_path):
-    """tokenizer-train -> pretrain -> assemble -> finetune -> generate -> evaluate."""
-    cfg = tiny_config(tmp_path / "unused", seeds=(1,))
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(config_to_json(cfg), encoding="utf-8")
+def test_cli_pipeline_end_to_end(tmp_path, monkeypatch):
+    """tokenizer-train -> pretrain -> assemble -> finetune -> generate -> evaluate
+    write the artifacts of the `run` cell with the same config, byte for byte."""
+    out = tmp_path / "runs"
+    cfg = dataclasses.replace(tiny_config(out, modes=("WARM2WARM",), seeds=(1,)),
+                              dev_eval_limit=4)  # below the 12-example dev split
+    cfg_path = str(tmp_path / "cfg.json")
+    Path(cfg_path).write_text(config_to_json(cfg), encoding="utf-8")
+    assert main(["run", "--config", cfg_path]) == 0
+    data, cell = out / "data", out / "cells" / "WARM2WARM_s1"
 
-    from warmsum.corpus import save_jsonl, split
-    from warmsum.synthetic import generate_corpus
-
-    splits = split(generate_corpus(cfg.corpus.synthetic), cfg.corpus.ratios,
-                   cfg.corpus.split_seed)
-    train_path = tmp_path / "train.jsonl"
-    dev_path = tmp_path / "dev.jsonl"
-    save_jsonl(splits["train"], train_path)
-    save_jsonl(splits["dev"], dev_path)
-
-    vocab_path = tmp_path / "vocab.txt"
-    assert main(["tokenizer-train", "--corpus", str(train_path), "--vocab-size", "120",
-                 "--out", str(vocab_path)]) == 0
-
-    enc_path = tmp_path / "encoder.ckpt"
-    assert main(["pretrain", "--config", str(cfg_path), "--corpus", str(train_path),
-                 "--vocab", str(vocab_path), "--out", str(enc_path)]) == 0
-
-    asm_path = tmp_path / "assembled.ckpt"
-    assert main(["assemble", "--config", str(cfg_path), "--vocab", str(vocab_path),
-                 "--mode", "warm2warm", "--encoder", str(enc_path),
-                 "--seed", "1", "--out", str(asm_path)]) == 0
-
-    best_path = tmp_path / "best.ckpt"
-    assert main(["finetune", "--config", str(cfg_path), "--ckpt", str(asm_path),
-                 "--train", str(train_path), "--dev", str(dev_path),
-                 "--vocab", str(vocab_path), "--out", str(best_path),
-                 "--log", str(tmp_path / "metrics.csv")]) == 0
-    assert (tmp_path / "metrics.csv").read_text().startswith("step,split,loss,rouge_l")
-
-    bodies_path = tmp_path / "bodies.txt"
-    refs_path = tmp_path / "refs.txt"
-    bodies_path.write_text("\n".join(ex.body for ex in splits["dev"]) + "\n",
-                           encoding="utf-8")
-    refs_path.write_text("\n".join(ex.abstract for ex in splits["dev"]) + "\n",
-                         encoding="utf-8")
-    out_path = tmp_path / "summaries.txt"
-    assert main(["generate", "--ckpt", str(best_path), "--vocab", str(vocab_path),
-                 "--input", str(bodies_path), "--out", str(out_path),
-                 "--method", "greedy", "--max-len", "8"]) == 0
-    assert len(out_path.read_text(encoding="utf-8").splitlines()) == len(splits["dev"])
-
-    assert main(["evaluate", "--candidates", str(out_path),
-                 "--references", str(refs_path)]) == 0
+    stages = tmp_path / "stages"
+    stages.mkdir()
+    monkeypatch.chdir(stages)  # checkpoints record the vocabulary path as given
+    train, dev = str(data / "train.jsonl"), str(data / "dev.jsonl")
+    test = load_jsonl(data / "test.jsonl")
+    Path("bodies.txt").write_text("".join(ex.body + "\n" for ex in test), encoding="utf-8")
+    Path("refs.txt").write_text("".join(ex.abstract + "\n" for ex in test), encoding="utf-8")
+    for argv, produced in (
+            (["tokenizer-train", "--corpus", train,
+              "--vocab-size", str(cfg.tokenizer.target_vocab_size), "--out", "vocab.txt"],
+             out / "vocab.txt"),
+            (["pretrain", "--config", cfg_path, "--corpus", train, "--vocab", "vocab.txt",
+              "--out", "encoder.ckpt"], out / "encoder_mlm.ckpt"),
+            (["assemble", "--config", cfg_path, "--vocab", "vocab.txt", "--mode", "warm2warm",
+              "--encoder", "encoder.ckpt", "--seed", "1", "--out", "assembled.ckpt"],
+             cell / "assembled.ckpt"),
+            (["finetune", "--config", cfg_path, "--ckpt", "assembled.ckpt", "--train", train,
+              "--dev", dev, "--vocab", "vocab.txt", "--seed", "1", "--log", "metrics.csv",
+              "--out", "best.ckpt"], cell / "best.ckpt"),
+            (["generate", "--config", cfg_path, "--ckpt", "best.ckpt", "--vocab", "vocab.txt",
+              "--input", "bodies.txt", "--out", "summaries.txt"], cell / "test_decodes.txt")):
+        assert main(argv) == 0, argv
+        assert Path(argv[-1]).read_bytes() == produced.read_bytes(), argv[-1]
+    assert Path("metrics.csv").read_bytes() == (cell / "metrics.csv").read_bytes()
+    assert main(["evaluate", "--candidates", "summaries.txt", "--references", "refs.txt"]) == 0
 
 
 @pytest.mark.slow
@@ -286,7 +286,8 @@ def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
 
 @pytest.fixture
 def generate_args(tmp_path):
-    """`generate` arguments for a random model and its vocabulary, minus --input."""
+    """`generate` arguments for a random model, its vocabulary and a config that
+    decodes 4 tokens greedily, minus --input."""
     from warmsum.assembly import AssemblyMode, assemble, save_checkpoint
     from warmsum.model import ModelConfig
     from warmsum.tokenizer import save_vocab, train_bpe
@@ -296,8 +297,10 @@ def generate_args(tmp_path):
     cfg = ModelConfig(vocab.size, d_model=8, n_heads=2, d_ff=8, n_enc_layers=1,
                       n_dec_layers=1, max_positions=16, dropout=0.0)
     save_checkpoint(assemble(None, AssemblyMode.RND2RND, cfg, seed=1), tmp_path / "m.ckpt")
-    return ["generate", "--ckpt", str(tmp_path / "m.ckpt"), "--vocab",
-            str(tmp_path / "vocab.txt"), "--out", str(tmp_path / "out.txt"), "--max-len", "4"]
+    (tmp_path / "cfg.json").write_text('{"decoding": {"max_len": 4}}', encoding="utf-8")
+    return ["generate", "--config", str(tmp_path / "cfg.json"), "--ckpt",
+            str(tmp_path / "m.ckpt"), "--vocab", str(tmp_path / "vocab.txt"),
+            "--out", str(tmp_path / "out.txt")]
 
 
 def test_generate_non_utf8_input_exits_2(tmp_path, capsys, generate_args):
@@ -311,7 +314,9 @@ def test_generate_non_utf8_input_exits_2(tmp_path, capsys, generate_args):
 def test_generate_empty_input_writes_an_empty_file(tmp_path, generate_args, method):
     bodies = tmp_path / "in.txt"
     bodies.write_text("", encoding="utf-8")
-    assert main([*generate_args, "--input", str(bodies), "--method", method]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"decoding": {"max_len": 4, "method": method}}),
+                                       encoding="utf-8")
+    assert main([*generate_args, "--input", str(bodies)]) == 0
     assert (tmp_path / "out.txt").read_bytes() == b""
 
 
@@ -330,19 +335,8 @@ def test_generate_failed_write_keeps_the_old_output(tmp_path, monkeypatch, gener
     with pytest.raises(OSError):
         main([*generate_args, "--input", str(bodies)])
     assert out.read_text(encoding="utf-8") == "old\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "m.ckpt", "out.txt",
-                                                          "vocab.txt"]
-
-
-@pytest.mark.parametrize("window", ["1", "0", "-1"])
-def test_generate_max_src_len_below_2_is_a_usage_error(tmp_path, capsys, generate_args,
-                                                       window):
-    bodies = tmp_path / "in.txt"
-    bodies.write_text("ba lo\n", encoding="utf-8")
-    assert main([*generate_args, "--input", str(bodies), "--max-src-len", window]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage: warmsum generate") and f"--max-src-len {window} is" in err
-    assert not (tmp_path / "out.txt").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "in.txt", "m.ckpt",
+                                                          "out.txt", "vocab.txt"]
 
 
 def test_stats_ratios_that_are_not_numbers_are_a_usage_error(capsys):
@@ -352,15 +346,27 @@ def test_stats_ratios_that_are_not_numbers_are_a_usage_error(capsys):
     assert err.startswith("usage: warmsum stats") and "argument --ratios" in err
 
 
+GENERATE = ["--config", "c.json", "--ckpt", "m.ckpt", "--vocab", "v.txt", "--input", "in.txt",
+            "--out", "o.txt"]
+
+
 @pytest.mark.parametrize("argv", [
     ["tokenizer-train", "--corpus", "c.jsonl", "--vocab-size", "50", "--out", "v.txt",
      "--pretokenize", "character"],
-    ["generate", "--ckpt", "m.ckpt", "--vocab", "v.txt", "--input", "in.txt", "--out", "o.txt",
-     "--block-repeat-ngram", "2"],
+    ["generate", *GENERATE, "--block-repeat-ngram", "2"],
     ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--tokenization",
      "subword_ids"],
     ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--lowercase"],
     ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--vocab", "v.txt"],
+    ["tokenizer-train", "--corpus", "c.jsonl", "--vocab-size", "50", "--out", "v.txt",
+     "--fields", "body"],
+    ["pretrain", "--config", "c.json", "--corpus", "c.jsonl", "--vocab", "v.txt",
+     "--out", "e.ckpt", "--fields", "body"],
+    ["generate", *GENERATE, "--method", "greedy"],
+    ["generate", *GENERATE, "--beam-size", "4"],
+    ["generate", *GENERATE, "--max-len", "16"],
+    ["generate", *GENERATE, "--alpha", "1.0"],
+    ["generate", *GENERATE, "--max-src-len", "26"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 1

@@ -236,7 +236,7 @@ def test_beam_logprob_is_the_teacher_forced_logprob():
 
 
 def test_beam_hypothesis_invariants():
-    hyp = BeamHypothesis((BOS, 7, EOS), -1.5, True)
+    hyp = BeamHypothesis((BOS, 7, EOS), -1.5)
     assert hyp.generated_len() == 2
     assert adjusted_score(hyp, 0.0) == -1.5
     assert adjusted_score(hyp, 1.0) == pytest.approx(-1.5 / ((5 + 2) / 6))
