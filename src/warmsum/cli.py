@@ -33,7 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_tokenizer_train(args) -> int:
-    vocab = tok.train_bpe(tokenizer_lines(corpus_mod.load_jsonl(args.corpus)), args.vocab_size)
+    vocab_size = load_config(args.config).tokenizer.target_vocab_size
+    vocab = tok.train_bpe(tokenizer_lines(corpus_mod.load_jsonl(args.corpus)), vocab_size)
     tok.save_vocab(vocab, args.out)
     print(f"trained vocabulary of {vocab.size} tokens "
           f"({len(vocab.merges)} merges) -> {args.out}")
@@ -69,12 +70,21 @@ def _cmd_assemble(args) -> int:
     return 0
 
 
+def _config_and_checkpoint(args):
+    """The command's config and checkpoint, refused unless the config's windows fit."""
+    cfg, ckpt = load_config(args.config), load_checkpoint(args.ckpt)
+    try:
+        experiment.check_windows(cfg, ckpt.config.max_positions, "its max_positions")
+    except DataError as e:
+        raise DataError(f"config {args.config} does not fit checkpoint {args.ckpt}: {e}") from None
+    return cfg, ckpt
+
+
 def _cmd_finetune(args) -> int:
-    cfg = load_config(args.config)
+    cfg, ckpt = _config_and_checkpoint(args)
     ft_cfg = cfg.finetune if args.seed is None else dataclasses.replace(cfg.finetune,
                                                                         seed=args.seed)
     vocab = tok.load_vocab(args.vocab)
-    ckpt = load_checkpoint(args.ckpt)
     train_set = corpus_mod.load_jsonl(args.train)
     dev_set = corpus_mod.load_jsonl(args.dev)
     log = MetricsLog(args.log) if args.log else None
@@ -88,8 +98,7 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    ckpt = load_checkpoint(args.ckpt)
+    cfg, ckpt = _config_and_checkpoint(args)
     vocab = tok.load_vocab(args.vocab)
     outs = experiment._decode_test(cfg, ckpt, _read_lines(args.input), vocab)
     write_atomic(args.out, "".join(out + "\n" for out in outs))
@@ -181,8 +190,8 @@ def build_parser() -> _Parser:
 
     p = command("tokenizer-train", _cmd_tokenizer_train,
                 "train a BPE vocabulary from a JSONL corpus")
+    p.add_argument("--config", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab-size", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = command("pretrain", _cmd_pretrain, "MLM-pretrain an encoder")

@@ -14,6 +14,7 @@ import hashlib
 import json
 import statistics
 import traceback
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -47,7 +48,7 @@ class DecodingSettings:
             raise DataError(f"unknown decoding method {self.method!r}")
         for name in ("beam_size", "max_len"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise DataError(f"decoding {name} must be an integer >= 1, got {value!r}")
 
 
@@ -59,6 +60,8 @@ class CorpusSettings:
     split_seed: int = 13
 
     def __post_init__(self):
+        if not self.path and self.synthetic is None:
+            raise DataError("corpus.path is empty and corpus.synthetic is null")
         corpus_mod.check_ratios(self.ratios)
         # an experiment trains on train, selects on dev and scores on test
         if not all(r > 0 for r in self.ratios):
@@ -105,62 +108,36 @@ class ExperimentConfig:
     output_dir: str = "runs/experiment"
 
     def __post_init__(self):
-        if not self.seeds or not all(type(s) is int for s in self.seeds):
-            raise DataError(f"seeds must be a nonempty list of integers, got {self.seeds!r}")
-        if not isinstance(self.output_dir, str):
-            raise DataError(f"output_dir must be a string, got {self.output_dir!r}")
+        if not self.seeds:
+            raise DataError("seeds must be a nonempty list of integers")
         limit = self.dev_eval_limit
-        if limit is not None and (type(limit) is not int or limit < 1):
+        if limit is not None and limit < 1:
             raise DataError(f"dev_eval_limit must be a positive integer or null, got {limit!r}")
         modes = [m.value for m in AssemblyMode]
         for m in self.modes:
             if m not in modes:
                 raise DataError(f"unknown assembly mode {m!r}; expected one of {modes}")
-        # the decoder reads BOS plus up to max_len generated tokens, and dev
-        # evaluation greedy-decodes max_tgt_len tokens
-        positions = self.model.max_positions
-        for name, need in (("pretrain.max_src_len", self.pretrain.max_src_len),
-                           ("finetune.max_src_len", self.finetune.max_src_len),
-                           ("finetune.max_tgt_len + 1", self.finetune.max_tgt_len + 1),
-                           ("decoding.max_len + 1", self.decoding.max_len + 1)):
-            if need > positions:
-                raise DataError(f"{name} is {need}, more than model.max_positions {positions}")
+        check_windows(self, self.model.max_positions, "model.max_positions")
+
+
+def check_windows(cfg: ExperimentConfig, positions: int, owner: str) -> None:
+    """Refuse a window of `cfg` longer than `positions`, the count `owner` names."""
+    # the decoder reads BOS plus up to max_len generated tokens, and dev
+    # evaluation greedy-decodes max_tgt_len tokens
+    for name, need in (("pretrain.max_src_len", cfg.pretrain.max_src_len),
+                       ("finetune.max_src_len", cfg.finetune.max_src_len),
+                       ("finetune.max_tgt_len + 1", cfg.finetune.max_tgt_len + 1),
+                       ("decoding.max_len + 1", cfg.decoding.max_len + 1)):
+        if need > positions:
+            raise DataError(f"{name} is {need}, more than {owner} {positions}")
 
 
 # -- config (de)serialization: one JSON document ----------------------------
-
-_SECTIONS = {
-    "corpus": CorpusSettings,
-    "tokenizer": TokenizerSettings,
-    "model": ModelSettings,
-    "pretrain": TrainConfig,
-    "finetune": TrainConfig,
-    "decoding": DecodingSettings,
-}
 
 
 def config_to_json(cfg: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True,
                       ensure_ascii=False) + "\n"
-
-
-def _build_section(cls, obj, where: str):
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise DataError(f"config section {where} must be a JSON object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - names
-    if unknown:
-        raise DataError(f"unknown keys in config section {where}: {sorted(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in obj.items()}
-    if cls is CorpusSettings and "synthetic" in kwargs:
-        kwargs["synthetic"] = _build_section(SyntheticSettings, obj["synthetic"],
-                                             where + ".synthetic")
-    try:
-        return cls(**kwargs)
-    except (DataError, TypeError) as e:  # a value of the wrong type fails its check
-        raise DataError(f"config section {where}: {e}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -176,25 +153,38 @@ def config_from_json(text: str) -> ExperimentConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DataError(f"config is not valid JSON ({e})") from None
-    if not isinstance(obj, dict):
-        raise DataError("config must be a JSON object")
-    scalars = ("output_dir", "dev_eval_limit")
-    unknown = set(obj) - set(_SECTIONS) - {"modes", "seeds", *scalars}
-    if unknown:
-        raise DataError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, cls in _SECTIONS.items():
-        if key in obj:
-            kwargs[key] = _build_section(cls, obj[key], key)
-    for key in ("modes", "seeds"):
-        if key in obj:
-            if not isinstance(obj[key], list):
-                raise DataError(f"config key {key!r} must be a list, got {obj[key]!r}")
-            kwargs[key] = tuple(obj[key])
-    for key in scalars:
-        if key in obj:
-            kwargs[key] = obj[key]
-    return ExperimentConfig(**kwargs)
+    return read_settings(ExperimentConfig, obj, "config")
+
+
+_KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+
+
+def read_settings(cls, obj, where: str):
+    """`obj`, parsed JSON whose dotted key is `where`, read as a `cls`: a dataclass
+    from an object whose keys name its fields, a tuple from a list, `X | None`
+    from null too, and any other type from a JSON value of that type."""
+    optional = type(None) in typing.get_args(cls)
+    if optional and obj is None:
+        return None
+    hint = typing.get_args(cls)[0] if optional else cls
+    if dataclasses.is_dataclass(hint) and isinstance(obj, dict):
+        fields = typing.get_type_hints(hint)
+        unknown = sorted(set(obj) - set(fields))
+        if unknown:
+            raise DataError(f"unknown keys in {where}: {unknown}")
+        kwargs = {key: read_settings(fields[key], value, f"{where}.{key}")
+                  for key, value in obj.items()}
+        try:
+            return hint(**kwargs)
+        except DataError as e:  # a range or cross-field check of the section
+            raise DataError(f"{where}: {e}") from None
+    if typing.get_origin(hint) is tuple and isinstance(obj, list):  # one element type
+        return tuple(read_settings(typing.get_args(hint)[0], value, f"{where}[{i}]")
+                     for i, value in enumerate(obj))
+    if type(obj) is hint or (hint is float and type(obj) is int):
+        return obj
+    kind = "a list" if typing.get_origin(hint) is tuple else _KINDS.get(hint, "an object")
+    raise DataError(f"{where} must be {kind}{' or null' * optional}, got {obj!r}")
 
 
 # -- results table -----------------------------------------------------------
@@ -259,10 +249,8 @@ def _prepare_splits(cfg: ExperimentConfig, out: Path) -> dict[str, list]:
         return {n: corpus_mod.load_jsonl(paths[n]) for n in names}
     if cfg.corpus.path:
         examples = corpus_mod.load_jsonl(cfg.corpus.path)
-    elif cfg.corpus.synthetic is not None:
-        examples = generate_corpus(cfg.corpus.synthetic)
     else:
-        raise DataError("config gives neither a corpus path nor synthetic settings")
+        examples = generate_corpus(cfg.corpus.synthetic)
     splits = corpus_mod.split(examples, cfg.corpus.ratios, cfg.corpus.split_seed)
     for n in names:
         corpus_mod.save_jsonl(splits[n], paths[n])

@@ -42,12 +42,14 @@ class SyntheticSettings:
     chain_prob: float = 0.75
     remap: bool = True  # False makes the abstract a verbatim lead-k copy
 
+    def __post_init__(self):
+        if self.body_min < self.lead_k or self.body_max < self.body_min:
+            raise DataError(f"need lead_k <= body_min <= body_max, got "
+                            f"{self.lead_k}/{self.body_min}/{self.body_max}")
+
 
 def generate_corpus(settings: SyntheticSettings) -> list[CorpusExample]:
     s = settings
-    if s.body_min < s.lead_k or s.body_max < s.body_min:
-        raise DataError(f"need lead_k <= body_min <= body_max, got "
-                        f"{s.lead_k}/{s.body_min}/{s.body_max}")
     words = word_inventory(s.n_words)
     rng = np.random.Generator(np.random.PCG64(s.seed))
     successor = rng.permutation(s.n_words)

@@ -10,7 +10,7 @@ import pytest
 from conftest import DATA_DIR
 from warmsum.cli import build_parser, main
 from warmsum.corpus import load_jsonl
-from warmsum.experiment import config_to_json, config_from_json
+from warmsum.experiment import ExperimentConfig, config_to_json, config_from_json
 
 from test_experiment import tiny_config
 
@@ -133,8 +133,8 @@ def test_cli_pipeline_end_to_end(tmp_path, monkeypatch):
     Path("bodies.txt").write_text("".join(ex.body + "\n" for ex in test), encoding="utf-8")
     Path("refs.txt").write_text("".join(ex.abstract + "\n" for ex in test), encoding="utf-8")
     for argv, produced in (
-            (["tokenizer-train", "--corpus", train,
-              "--vocab-size", str(cfg.tokenizer.target_vocab_size), "--out", "vocab.txt"],
+            (["tokenizer-train", "--config", cfg_path, "--corpus", train,
+              "--out", "vocab.txt"],
              out / "vocab.txt"),
             (["pretrain", "--config", cfg_path, "--corpus", train, "--vocab", "vocab.txt",
               "--out", "encoder.ckpt"], out / "encoder_mlm.ckpt"),
@@ -192,9 +192,32 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("{not json", "not valid JSON"),
-    ('{"seeds": 5}', "'seeds' must be a list"),
-    ('{"dev_eval_limit": "5", "output_dir": "OUT"}', "dev_eval_limit must be a positive integer"),
+    ('{"seeds": 5}', "config.seeds must be a list, got 5"),
+    ('{"dev_eval_limit": "5", "output_dir": "OUT"}',
+     "dev_eval_limit must be an integer or null, got '5'"),
     ('{"output_dir": 5}', "output_dir must be a string"),
+    # every value is checked against its field's type
+    ('{"corpus": {"synthetic": {"n_pairs": "5"}}, "output_dir": "OUT"}',
+     "config.corpus.synthetic.n_pairs must be an integer, got '5'"),
+    ('{"tokenizer": {"target_vocab_size": "256"}, "output_dir": "OUT"}',
+     "config.tokenizer.target_vocab_size must be an integer, got '256'"),
+    ('{"pretrain": {"batch_size": 2.5}, "output_dir": "OUT"}',
+     "config.pretrain.batch_size must be an integer, got 2.5"),
+    ('{"corpus": {"split_seed": "13"}, "output_dir": "OUT"}',
+     "config.corpus.split_seed must be an integer, got '13'"),
+    ('{"corpus": {"path": 5}, "output_dir": "OUT"}',
+     "config.corpus.path must be a string, got 5"),
+    ('{"finetune": {"total_steps": 2.5}, "output_dir": "OUT"}',
+     "config.finetune.total_steps must be an integer, got 2.5"),
+    ('{"corpus": {"synthetic": {"remap": 1}}, "output_dir": "OUT"}',
+     "config.corpus.synthetic.remap must be true or false, got 1"),
+    ('{"decoding": {"length_penalty_alpha": "x"}, "output_dir": "OUT"}',
+     "config.decoding.length_penalty_alpha must be a number, got 'x'"),
+    # cross-field checks run when the config is built
+    ('{"corpus": {"synthetic": {"body_min": 4}}, "output_dir": "OUT"}',
+     "config.corpus.synthetic: need lead_k <= body_min <= body_max, got 8/4/24"),
+    ('{"corpus": {"synthetic": null}, "output_dir": "OUT"}',
+     "corpus.path is empty and corpus.synthetic is null"),
     ('{"corpus": {"ratios": [0.5, 0.5]}, "output_dir": "OUT"}',
      "ratios must be three non-negative numbers that sum to 1"),
     ('{"corpus": {"ratios": [1.1, -0.05, -0.05]}, "output_dir": "OUT"}',
@@ -257,7 +280,7 @@ def test_report_names_the_config_it_cannot_read(tmp_path, capsys):
     cfg.write_text(cfg.read_text(encoding="utf-8").replace(
         '"split_seed"', '"dataset_name": "synthetic",\n    "split_seed"'), encoding="utf-8")
     assert main(["report", "--dir", str(out)]) == 2
-    assert f"config {cfg}: unknown keys in config section corpus: ['dataset_name']" \
+    assert f"config {cfg}: unknown keys in config.corpus: ['dataset_name']" \
         in capsys.readouterr().err
 
 
@@ -284,10 +307,14 @@ def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
     assert f"{cand}: not valid UTF-8" in capsys.readouterr().err
 
 
+FITS_16 = {"pretrain": {"max_src_len": 16}, "finetune": {"max_src_len": 16, "max_tgt_len": 10},
+           "decoding": {"max_len": 4}}
+
+
 @pytest.fixture
 def generate_args(tmp_path):
-    """`generate` arguments for a random model, its vocabulary and a config that
-    decodes 4 tokens greedily, minus --input."""
+    """`generate` arguments for a random 16-position model, its vocabulary and a
+    config that fits it and decodes 4 tokens greedily, minus --input."""
     from warmsum.assembly import AssemblyMode, assemble, save_checkpoint
     from warmsum.model import ModelConfig
     from warmsum.tokenizer import save_vocab, train_bpe
@@ -297,7 +324,7 @@ def generate_args(tmp_path):
     cfg = ModelConfig(vocab.size, d_model=8, n_heads=2, d_ff=8, n_enc_layers=1,
                       n_dec_layers=1, max_positions=16, dropout=0.0)
     save_checkpoint(assemble(None, AssemblyMode.RND2RND, cfg, seed=1), tmp_path / "m.ckpt")
-    (tmp_path / "cfg.json").write_text('{"decoding": {"max_len": 4}}', encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(json.dumps(FITS_16), encoding="utf-8")
     return ["generate", "--config", str(tmp_path / "cfg.json"), "--ckpt",
             str(tmp_path / "m.ckpt"), "--vocab", str(tmp_path / "vocab.txt"),
             "--out", str(tmp_path / "out.txt")]
@@ -314,8 +341,8 @@ def test_generate_non_utf8_input_exits_2(tmp_path, capsys, generate_args):
 def test_generate_empty_input_writes_an_empty_file(tmp_path, generate_args, method):
     bodies = tmp_path / "in.txt"
     bodies.write_text("", encoding="utf-8")
-    (tmp_path / "cfg.json").write_text(json.dumps({"decoding": {"max_len": 4, "method": method}}),
-                                       encoding="utf-8")
+    cfg = {**FITS_16, "decoding": {"max_len": 4, "method": method}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
     assert main([*generate_args, "--input", str(bodies)]) == 0
     assert (tmp_path / "out.txt").read_bytes() == b""
 
@@ -351,14 +378,14 @@ GENERATE = ["--config", "c.json", "--ckpt", "m.ckpt", "--vocab", "v.txt", "--inp
 
 
 @pytest.mark.parametrize("argv", [
-    ["tokenizer-train", "--corpus", "c.jsonl", "--vocab-size", "50", "--out", "v.txt",
+    ["tokenizer-train", "--config", "c.json", "--corpus", "c.jsonl", "--out", "v.txt",
      "--pretokenize", "character"],
     ["generate", *GENERATE, "--block-repeat-ngram", "2"],
     ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--tokenization",
      "subword_ids"],
     ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--lowercase"],
     ["evaluate", "--candidates", "a.txt", "--references", "b.txt", "--vocab", "v.txt"],
-    ["tokenizer-train", "--corpus", "c.jsonl", "--vocab-size", "50", "--out", "v.txt",
+    ["tokenizer-train", "--config", "c.json", "--corpus", "c.jsonl", "--out", "v.txt",
      "--fields", "body"],
     ["pretrain", "--config", "c.json", "--corpus", "c.jsonl", "--vocab", "v.txt",
      "--out", "e.ckpt", "--fields", "body"],
@@ -367,7 +394,25 @@ GENERATE = ["--config", "c.json", "--ckpt", "m.ckpt", "--vocab", "v.txt", "--inp
     ["generate", *GENERATE, "--max-len", "16"],
     ["generate", *GENERATE, "--alpha", "1.0"],
     ["generate", *GENERATE, "--max-src-len", "26"],
+    ["tokenizer-train", "--config", "c.json", "--corpus", "c.jsonl", "--out", "v.txt",
+     "--vocab-size", "50"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "finetune"])
+def test_config_windows_must_fit_the_checkpoint(tmp_path, capsys, generate_args, command):
+    config = tmp_path / "cfg.json"
+    config.write_text(config_to_json(ExperimentConfig()), encoding="utf-8")  # 34-token window
+    bodies = tmp_path / "in.txt"
+    bodies.write_text(" ".join(["ba lo"] * 20) + "\n", encoding="utf-8")
+    argv = {"generate": [*generate_args, "--input", str(bodies)],
+            "finetune": ["finetune", *generate_args[1:], "--train", "t.jsonl",
+                         "--dev", "d.jsonl"]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert (f"config {config} does not fit checkpoint {tmp_path / 'm.ckpt'}: "
+            "pretrain.max_src_len is 34, more than its max_positions 16") in err
+    assert not (tmp_path / "out.txt").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -52,6 +53,44 @@ def test_config_rejects_unknown_keys():
         config_from_json(json.dumps(obj))
     with pytest.raises(DataError, match="bogus"):
         config_from_json(json.dumps({"bogus": 1}))
+
+
+def _wrong_json_types(value):
+    """Values whose JSON type differs from that of `value`."""
+    if isinstance(value, bool):
+        return [5, "true"]
+    if isinstance(value, (int, float)):
+        return ["5", [5], True]
+    if isinstance(value, str):
+        return [5, [value]]
+    return [5, "x"]  # a list or an object
+
+
+def _leaves(obj, key="config"):
+    """Every (dotted key, path, value) below a JSON object, lists and objects included."""
+    for name, value in obj.items():
+        yield f"{key}.{name}", (name,), value
+        if isinstance(value, dict):
+            for sub, path, leaf in _leaves(value, f"{key}.{name}"):
+                yield sub, (name, *path), leaf
+        elif isinstance(value, list):
+            yield f"{key}.{name}[0]", (name, 0), value[0]
+
+
+def test_config_refuses_a_value_of_the_wrong_type_at_every_key():
+    defaults = json.loads(config_to_json(ExperimentConfig()))
+    leaves = list(_leaves(defaults))
+    # the 41 settable values, every section and the first element of each list
+    assert sum(not isinstance(v, dict) and isinstance(p[-1], str) for _, p, v in leaves) == 41
+    for key, path, value in leaves:
+        for wrong in _wrong_json_types(value):
+            obj = json.loads(config_to_json(ExperimentConfig()))
+            parent = obj
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = wrong
+            with pytest.raises(DataError, match=f"^{re.escape(key)} must be "):
+                config_from_json(json.dumps(obj))
 
 
 def test_config_validates_modes_and_seeds(tmp_path):
