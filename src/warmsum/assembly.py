@@ -54,7 +54,7 @@ class Checkpoint:
     def __post_init__(self):
         validate_params(self.params, self.config, self.kind)
         mode = self.provenance.get("mode")
-        if mode not in ("RND2RND", "WARM2RND", "WARM2WARM", "TRAINED"):
+        if mode not in {*(m.value for m in AssemblyMode), "TRAINED"}:
             raise DataError(f"checkpoint provenance mode {mode!r} is not a known mode")
 
 
@@ -116,25 +116,22 @@ def _check_source_compatible(source: Checkpoint, config: ModelConfig,
 
 def assemble(encoder_ckpt: Checkpoint | None, mode: AssemblyMode,
              config: ModelConfig, seed: int, vocab_ref: str = "") -> Checkpoint:
-    """Build an encoder-decoder checkpoint; deterministic in (inputs, seed)."""
+    """Build an encoder-decoder checkpoint; deterministic in (inputs, seed).
+    RND2RND ignores `encoder_ckpt`."""
     mode = AssemblyMode(mode)
-    if mode is not AssemblyMode.RND2RND:
-        if encoder_ckpt is None:
-            raise DataError(f"assembly mode {mode.value} requires a source encoder checkpoint")
-        if encoder_ckpt.kind != "encoder_mlm":
-            raise DataError(f"source checkpoint kind must be encoder_mlm, got {encoder_ckpt.kind!r}")
+    if mode is AssemblyMode.RND2RND:
+        encoder_ckpt = None
+    elif encoder_ckpt is None:
+        raise DataError(f"assembly mode {mode.value} requires a source encoder checkpoint")
+    elif encoder_ckpt.kind != "encoder_mlm":
+        raise DataError(f"source checkpoint kind must be encoder_mlm, got {encoder_ckpt.kind!r}")
+    else:
         _check_source_compatible(encoder_ckpt, config, mode)
 
     params = fresh_params(config, "encoder_decoder", seed)
-    if mode is not AssemblyMode.RND2RND:
+    if encoder_ckpt is not None:
         for dst, src in warm_copy_map(config, mode).items():
-            source_arr = encoder_ckpt.params[src]
-            if source_arr.shape != params[dst].shape:
-                raise CheckpointError(
-                    f"shape mismatch copying {src} -> {dst}: "
-                    f"{source_arr.shape} vs {params[dst].shape}"
-                )
-            params[dst] = source_arr.copy()
+            params[dst] = encoder_ckpt.params[src].copy()
     provenance = {
         "mode": mode.value,
         "source": checkpoint_hash(encoder_ckpt) if encoder_ckpt is not None else "",

@@ -55,15 +55,13 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    mode = AssemblyMode(args.mode.upper())
+    mode = AssemblyMode(args.mode)
     if mode is not AssemblyMode.RND2RND and not args.encoder:
         args.usage_error(f"--encoder is required for mode {args.mode}")
     cfg = load_config(args.config)
     vocab = tok.load_vocab(args.vocab)
     model_cfg = cfg.model.to_model_config(vocab.size)
     source = load_checkpoint(args.encoder) if args.encoder else None
-    if mode is AssemblyMode.RND2RND:
-        source = None
     ckpt = assemble(source, mode, model_cfg, args.seed, vocab_ref=str(args.vocab))
     save_checkpoint(ckpt, args.out)
     print(f"assembled {mode.value} checkpoint (seed {args.seed}) -> {args.out}")
@@ -172,8 +170,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_config(args) -> int:
-    if not args.print_defaults:
-        args.usage_error("nothing to do; use --print-defaults")
     sys.stdout.write(config_to_json(ExperimentConfig()))
     return 0
 
@@ -204,9 +200,8 @@ def build_parser() -> _Parser:
     p = command("assemble", _cmd_assemble, "build a seq2seq checkpoint from an encoder")
     p.add_argument("--config", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--mode", required=True,
-                   choices=["rnd2rnd", "warm2rnd", "warm2warm",
-                            "RND2RND", "WARM2RND", "WARM2WARM"])
+    p.add_argument("--mode", required=True, type=str.upper,
+                   choices=[m.value for m in AssemblyMode])
     p.add_argument("--encoder")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -248,8 +243,7 @@ def build_parser() -> _Parser:
     p = command("report", _cmd_report, "render the results table from persisted artifacts")
     p.add_argument("--dir", required=True)
 
-    p = command("config", _cmd_config, "configuration helpers")
-    p.add_argument("--print-defaults", action="store_true")
+    command("config", _cmd_config, "print the default config")
 
     return parser
 

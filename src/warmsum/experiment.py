@@ -38,14 +38,11 @@ class TokenizerSettings:
 
 @dataclass(frozen=True)
 class DecodingSettings:
-    method: str = "greedy"  # "greedy" | "beam"
-    beam_size: int = 4
-    max_len: int = 24
+    beam_size: int = 1  # 1 is greedy search
+    max_len: int = 10
     length_penalty_alpha: float = 1.0
 
     def __post_init__(self):
-        if self.method not in ("greedy", "beam"):
-            raise DataError(f"unknown decoding method {self.method!r}")
         for name in ("beam_size", "max_len"):
             value = getattr(self, name)
             if value < 1:
@@ -103,13 +100,15 @@ class ExperimentConfig:
                                         max_src_len=26, max_tgt_len=10)
     modes: tuple[str, ...] = ("RND2RND", "WARM2RND", "WARM2WARM")
     seeds: tuple[int, ...] = (1, 2, 3)
-    decoding: DecodingSettings = DecodingSettings(max_len=10)
+    decoding: DecodingSettings = DecodingSettings()
     dev_eval_limit: int | None = 64  # dev examples decoded per periodic eval
     output_dir: str = "runs/experiment"
 
     def __post_init__(self):
         if not self.seeds:
             raise DataError("seeds must be a nonempty list of integers")
+        if not self.modes:
+            raise DataError("modes must be a nonempty list of assembly modes")
         limit = self.dev_eval_limit
         if limit is not None and limit < 1:
             raise DataError(f"dev_eval_limit must be a positive integer or null, got {limit!r}")
@@ -153,16 +152,17 @@ def config_from_json(text: str) -> ExperimentConfig:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DataError(f"config is not valid JSON ({e})") from None
-    return read_settings(ExperimentConfig, obj, "config")
+    return read_settings(ExperimentConfig, obj, "config", ExperimentConfig())
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
-def read_settings(cls, obj, where: str):
+def read_settings(cls, obj, where: str, default):
     """`obj`, parsed JSON whose dotted key is `where`, read as a `cls`: a dataclass
-    from an object whose keys name its fields, a tuple from a list, `X | None`
-    from null too, and any other type from a JSON value of that type."""
+    from an object whose keys name some of its fields, the others kept from
+    `default`; a tuple from a list, `X | None` from null too, and any other type
+    from a JSON value of that type."""
     optional = type(None) in typing.get_args(cls)
     if optional and obj is None:
         return None
@@ -172,14 +172,15 @@ def read_settings(cls, obj, where: str):
         unknown = sorted(set(obj) - set(fields))
         if unknown:
             raise DataError(f"unknown keys in {where}: {unknown}")
-        kwargs = {key: read_settings(fields[key], value, f"{where}.{key}")
+        kwargs = {key: read_settings(fields[key], value, f"{where}.{key}",
+                                     getattr(default, key))
                   for key, value in obj.items()}
         try:
-            return hint(**kwargs)
+            return replace(default, **kwargs)
         except DataError as e:  # a range or cross-field check of the section
             raise DataError(f"{where}: {e}") from None
     if typing.get_origin(hint) is tuple and isinstance(obj, list):  # one element type
-        return tuple(read_settings(typing.get_args(hint)[0], value, f"{where}[{i}]")
+        return tuple(read_settings(typing.get_args(hint)[0], value, f"{where}[{i}]", None)
                      for i, value in enumerate(obj))
     if type(obj) is hint or (hint is float and type(obj) is int):
         return obj
@@ -308,7 +309,7 @@ def _decode_test(cfg: ExperimentConfig, model_ckpt, bodies: list[str],
     model = EncoderDecoderModel.from_checkpoint(model_ckpt).eval()
     srcs = [frame_ids(tok.encode(body, vocab).ids, cfg.finetune.max_src_len) for body in bodies]
     dec = cfg.decoding
-    if dec.method == "greedy":
+    if dec.beam_size == 1:  # a one-wide beam finishes one hypothesis: the greedy one
         outs = greedy_decode_batch(model, srcs, dec.max_len)
     else:
         outs = [beam_search(model, s, dec.beam_size, dec.max_len,
@@ -338,8 +339,8 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
     if scores_path.exists():
         return _read_scores(scores_path, mode, seed)
 
-    source = None if mode == AssemblyMode.RND2RND.value else encoder_ckpt
-    assembled = assemble(source, AssemblyMode(mode), model_cfg, seed, vocab_ref="vocab.txt")
+    assembled = assemble(encoder_ckpt, AssemblyMode(mode), model_cfg, seed,
+                         vocab_ref="vocab.txt")
     save_checkpoint(assembled, cell / "assembled.ckpt")
 
     ft_cfg = replace(cfg.finetune, seed=seed)

@@ -33,13 +33,13 @@ KINDS = ("encoder_mlm", "encoder_decoder")
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    d_model: int = 64
-    n_heads: int = 4
-    d_ff: int = 128
-    n_enc_layers: int = 2
-    n_dec_layers: int = 2
-    max_positions: int = 128
-    dropout: float = 0.1
+    d_model: int
+    n_heads: int
+    d_ff: int
+    n_enc_layers: int
+    n_dec_layers: int
+    max_positions: int
+    dropout: float
 
     def __post_init__(self):
         for name in ("vocab_size", "d_model", "n_heads", "d_ff", "n_enc_layers",

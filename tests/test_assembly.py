@@ -30,7 +30,7 @@ def encoder_ckpt():
 
 def test_rnd2rnd_init_statistics():
     big = ModelConfig(vocab_size=64, d_model=32, n_heads=4, d_ff=64,
-                      n_enc_layers=2, n_dec_layers=2, max_positions=32)
+                      n_enc_layers=2, n_dec_layers=2, max_positions=32, dropout=0.0)
     ckpt = assemble(None, AssemblyMode.RND2RND, big, seed=0)
     weights = np.concatenate([
         arr.ravel() for name, arr in ckpt.params.items()
@@ -135,6 +135,10 @@ def test_provenance_recorded(encoder_ckpt):
     assert ckpt.provenance["seed"] == 9
     assert ckpt.provenance["source"] == checkpoint_hash(encoder_ckpt)
     assert ckpt.vocab_ref == "vocab.txt"
+    # RND2RND records nothing of a source it is given
+    rnd = assemble(encoder_ckpt, AssemblyMode.RND2RND, CFG, seed=9)
+    assert save_checkpoint_bytes(rnd) == save_checkpoint_bytes(
+        assemble(None, AssemblyMode.RND2RND, CFG, seed=9))
     with pytest.raises(DataError, match="mode"):
         Checkpoint(CFG, "encoder_decoder", fresh_params(CFG, "encoder_decoder", 0),
                    provenance={"mode": "bogus"})

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -102,7 +103,7 @@ def test_numeric_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
 
 
 def test_config_print_defaults_round_trips():
-    code, out, _ = run_cli("config", "--print-defaults")
+    code, out, _ = run_cli("config")
     assert code == 0
     cfg = config_from_json(out)
     assert cfg == config_from_json(config_to_json(cfg))
@@ -110,7 +111,9 @@ def test_config_print_defaults_round_trips():
     def settable_values(obj):
         return sum(map(settable_values, obj.values())) if isinstance(obj, dict) else 1
 
-    assert settable_values(json.loads(out)) == 41
+    readme = (DATA_DIR.parent / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"`warmsum config` prints (\d+) settable values", readme)
+    assert stated and settable_values(json.loads(out)) == int(stated[1])
 
 
 @pytest.mark.slow
@@ -193,6 +196,9 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("{not json", "not valid JSON"),
     ('{"seeds": 5}', "config.seeds must be a list, got 5"),
+    ('{"modes": [], "output_dir": "OUT"}', "modes must be a nonempty list"),
+    ('{"decoding": {"method": "beam"}, "output_dir": "OUT"}',
+     "unknown keys in config.decoding: ['method']"),
     ('{"dev_eval_limit": "5", "output_dir": "OUT"}',
      "dev_eval_limit must be an integer or null, got '5'"),
     ('{"output_dir": 5}', "output_dir must be a string"),
@@ -307,7 +313,7 @@ def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
     assert f"{cand}: not valid UTF-8" in capsys.readouterr().err
 
 
-FITS_16 = {"pretrain": {"max_src_len": 16}, "finetune": {"max_src_len": 16, "max_tgt_len": 10},
+FITS_16 = {"pretrain": {"max_src_len": 16}, "finetune": {"max_src_len": 16},
            "decoding": {"max_len": 4}}
 
 
@@ -337,11 +343,11 @@ def test_generate_non_utf8_input_exits_2(tmp_path, capsys, generate_args):
     assert f"{bodies}: not valid UTF-8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method", ["greedy", "beam"])
-def test_generate_empty_input_writes_an_empty_file(tmp_path, generate_args, method):
+@pytest.mark.parametrize("beam_size", [1, 3], ids=["greedy", "beam"])
+def test_generate_empty_input_writes_an_empty_file(tmp_path, generate_args, beam_size):
     bodies = tmp_path / "in.txt"
     bodies.write_text("", encoding="utf-8")
-    cfg = {**FITS_16, "decoding": {"max_len": 4, "method": method}}
+    cfg = {**FITS_16, "decoding": {"max_len": 4, "beam_size": beam_size}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
     assert main([*generate_args, "--input", str(bodies)]) == 0
     assert (tmp_path / "out.txt").read_bytes() == b""
@@ -396,6 +402,7 @@ GENERATE = ["--config", "c.json", "--ckpt", "m.ckpt", "--vocab", "v.txt", "--inp
     ["generate", *GENERATE, "--max-src-len", "26"],
     ["tokenizer-train", "--config", "c.json", "--corpus", "c.jsonl", "--out", "v.txt",
      "--vocab-size", "50"],
+    ["config", "--print-defaults"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 1

@@ -152,13 +152,15 @@ def test_greedy_rejects_overlong_max_len():
 
 
 def test_beam_one_alpha_zero_equals_greedy():
+    # a one-wide beam finishes one hypothesis, so the length penalty never chooses
     rng = np.random.default_rng(5)
     for seed in range(20):
         model = random_model(seed)
         src = random_src(rng)
         greedy = greedy_one(model, src, max_len=6)
-        beam = beam_search(model, src, beam_size=1, max_len=6, length_penalty_alpha=0.0)
-        assert np.array_equal(greedy, beam), f"seed {seed}"
+        for alpha in (0.0, 0.6, 1.0):
+            beam = beam_search(model, src, beam_size=1, max_len=6, length_penalty_alpha=alpha)
+            assert np.array_equal(greedy, beam), f"seed {seed}, alpha {alpha}"
 
 
 def test_beam_matches_exhaustive_enumeration_scripted():

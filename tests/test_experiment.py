@@ -79,10 +79,8 @@ def _leaves(obj, key="config"):
 
 def test_config_refuses_a_value_of_the_wrong_type_at_every_key():
     defaults = json.loads(config_to_json(ExperimentConfig()))
-    leaves = list(_leaves(defaults))
-    # the 41 settable values, every section and the first element of each list
-    assert sum(not isinstance(v, dict) and isinstance(p[-1], str) for _, p, v in leaves) == 41
-    for key, path, value in leaves:
+    # every settable value, every section and the first element of each list
+    for key, path, value in _leaves(defaults):
         for wrong in _wrong_json_types(value):
             obj = json.loads(config_to_json(ExperimentConfig()))
             parent = obj
@@ -91,6 +89,20 @@ def test_config_refuses_a_value_of_the_wrong_type_at_every_key():
             parent[path[-1]] = wrong
             with pytest.raises(DataError, match=f"^{re.escape(key)} must be "):
                 config_from_json(json.dumps(obj))
+
+
+def test_a_config_naming_one_printed_value_reads_as_the_defaults():
+    defaults = ExperimentConfig()
+    for key, path, value in _leaves(json.loads(config_to_json(defaults))):
+        if isinstance(value, dict) or not isinstance(path[-1], str):
+            continue  # a section, or an element of a list
+        obj = value
+        for step in reversed(path):
+            obj = {step: obj}
+        assert config_from_json(json.dumps(obj)) == defaults, key
+    # the keys a section leaves out keep their printed values
+    assert config_from_json('{"finetune": {"max_src_len": 16}}') == dataclasses.replace(
+        defaults, finetune=dataclasses.replace(defaults.finetune, max_src_len=16))
 
 
 def test_config_validates_modes_and_seeds(tmp_path):

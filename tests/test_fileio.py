@@ -12,7 +12,7 @@ from warmsum.tokenizer import save_vocab, train_bpe
 WRITERS = {
     "checkpoint": lambda path: save_checkpoint(assemble(None, AssemblyMode.RND2RND, ModelConfig(
         vocab_size=8, d_model=2, n_heads=1, d_ff=2, n_enc_layers=1, n_dec_layers=1,
-        max_positions=4), seed=0), path),
+        max_positions=4, dropout=0.0), seed=0), path),
     "vocab": lambda path: save_vocab(train_bpe(["ba ke mi"], 20), path),
     "jsonl": lambda path: save_jsonl([CorpusExample(str(i), "ba ke", "ba") for i in range(3)],
                                      path),

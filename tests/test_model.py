@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,11 +32,11 @@ def random_batch(rng, config, batch=2, src_len=7, tgt_len=5):
 
 def test_config_validation():
     with pytest.raises(DataError):
-        ModelConfig(vocab_size=10, d_model=10, n_heads=3)
+        dataclasses.replace(TINY, d_model=10, n_heads=3)
     with pytest.raises(DataError, match="n_heads"):
-        ModelConfig(vocab_size=10, n_heads=0)
+        dataclasses.replace(TINY, n_heads=0)
     with pytest.raises(DataError, match="d_model"):
-        ModelConfig(vocab_size=10, d_model=64.0)
+        dataclasses.replace(TINY, d_model=64.0)
 
 
 def test_expected_shapes_tied_vs_untied():
