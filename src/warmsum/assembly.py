@@ -78,6 +78,8 @@ def _fresh_value(name: str, shape: tuple[int, ...], rng: np.random.Generator) ->
 
 def fresh_params(config: ModelConfig, kind: str, seed: int) -> dict[str, np.ndarray]:
     """Deterministic fresh initialization; names drawn in sorted order."""
+    if seed < 0:  # PCG64 takes no negative seed
+        raise DataError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     shapes = expected_param_shapes(config, kind)
     return {name: _fresh_value(name, shapes[name], rng) for name in sorted(shapes)}

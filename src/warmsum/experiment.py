@@ -105,10 +105,15 @@ class ExperimentConfig:
     output_dir: str = "runs/experiment"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise DataError("seeds must be a nonempty list of integers")
+        if not self.seeds or min(self.seeds) < 0:
+            raise DataError(f"seeds must be a nonempty list of non-negative integers, "
+                            f"got {list(self.seeds)}")
         if not self.modes:
             raise DataError("modes must be a nonempty list of assembly modes")
+        # a repeated cell would count twice in the medians
+        for name, values in (("seeds", self.seeds), ("modes", self.modes)):
+            if len(set(values)) < len(values):
+                raise DataError(f"{name} must not repeat, got {list(values)}")
         limit = self.dev_eval_limit
         if limit is not None and limit < 1:
             raise DataError(f"dev_eval_limit must be a positive integer or null, got {limit!r}")

@@ -183,7 +183,7 @@ class _Model:
     def from_checkpoint(cls, ckpt):
         if ckpt.kind != cls.kind:
             raise DataError(f"expected an {cls.kind} checkpoint, got {ckpt.kind!r}")
-        params = {name: T.parameter(arr.copy(), name) for name, arr in ckpt.params.items()}
+        params = {name: T.Tensor(arr.copy()) for name, arr in ckpt.params.items()}
         return cls(ckpt.config, params)
 
     def train(self, rng: np.random.Generator):
@@ -286,10 +286,7 @@ class EncoderDecoderModel(_Model):
         _check_target_framing(tgt_ids)
         memory = self.encode(src_ids)
         logits = self.decode_logits(tgt_ids[:, :-1], memory, pad_mask_from_ids(src_ids))
-        b, l, v = logits.shape
-        flat = T.reshape(logits, (b * l, v))
-        targets = tgt_ids[:, 1:].reshape(-1)
-        return T.cross_entropy(flat, targets, ignore_id=PAD)
+        return T.cross_entropy(logits, tgt_ids[:, 1:], ignore_id=PAD)
 
     def _decoder_stack(self, tgt_ids: np.ndarray, memory: T.Tensor, src_real: np.ndarray,
                        cache: DecoderCache | None = None) -> T.Tensor:
@@ -329,8 +326,7 @@ def _check_target_framing(tgt_ids: np.ndarray) -> None:
 
 def masked_token_loss(logits: T.Tensor, targets: np.ndarray) -> T.Tensor:
     """The MLM loss: mean cross-entropy of [B, L, V] logits where targets is not -1."""
-    b, l, v = logits.shape
-    return T.cross_entropy(T.reshape(logits, (b * l, v)), targets.reshape(-1), ignore_id=-1)
+    return T.cross_entropy(logits, targets, ignore_id=-1)
 
 
 class EncoderMlm(_Model):

@@ -46,6 +46,13 @@ class SyntheticSettings:
         if self.body_min < self.lead_k or self.body_max < self.body_min:
             raise DataError(f"need lead_k <= body_min <= body_max, got "
                             f"{self.lead_k}/{self.body_min}/{self.body_max}")
+        if self.seed < 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
+        if self.n_words < 1:
+            raise DataError(f"n_words must be at least 1, got {self.n_words}")
+        word_inventory(self.n_words)  # refuses more words than the inventory holds
+        if not 0.0 <= self.chain_prob <= 1.0:
+            raise DataError(f"chain_prob must be between 0 and 1, got {self.chain_prob}")
 
 
 def generate_corpus(settings: SyntheticSettings) -> list[CorpusExample]:

@@ -1,10 +1,11 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Storage is row-major numpy float64. Every differentiable operation is a
-module-level function that computes the forward value and, when a Tape is
-active and a gradient is needed, records a backward rule. Gradients are
-accumulated by replaying the tape in reverse recording order, which visits
-each recorded node exactly once.
+Storage is row-major numpy float64. A tensor holds its data, its gradient
+and the tape that recorded it. Every differentiable operation is a
+module-level function that computes the forward value and, while a Tape is
+active, records one node with its backward rule. Backward replays the tape
+in reverse recording order, which visits each recorded node exactly once, and
+fills the `grad` of every tensor that fed a node on the loss's path.
 
 Broadcasting is deliberately restricted: `add` supports equal shapes plus a
 bias vector over the last axis, and nothing else. Masks and other constants
@@ -58,14 +59,11 @@ def _keep_freed_heap() -> None:
 class Tensor:
     """A dense float64 array plus an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_needs_grad", "_tape")
+    __slots__ = ("data", "grad", "_tape")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
-        self.name = name
-        self._needs_grad = self.requires_grad
         self._tape: Tape | None = None
 
     @property
@@ -79,9 +77,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             # a C-ordered copy, as zeros + g was: -0.0 becomes +0.0, and a
@@ -91,19 +86,14 @@ class Tensor:
             self.grad += g
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-
-def parameter(data, name: str | None = None) -> Tensor:
-    return Tensor(data, requires_grad=True, name=name)
+        return f"Tensor(shape={self.data.shape})"
 
 
 class Tape:
     """Records op nodes in forward execution order; also a context manager.
 
-    Only one tape may be active at a time. Ops executed with no active tape
-    (inference) record nothing and allocate no gradient state. Leaving the
+    Only one tape may be active at a time. While it is active every op records
+    one node; with no active tape (inference) ops record nothing. Leaving the
     `with` block drops the recorded graph, so backward runs inside the block.
     The first tape entered sets the allocator policy of `_keep_freed_heap`.
     """
@@ -141,7 +131,7 @@ def recording() -> bool:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every needs-grad ancestor of a scalar loss."""
+    """Accumulate into `grad` of every recorded ancestor of a scalar loss."""
     if loss.data.ndim != 0:
         raise ShapeMismatchError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss._tape
@@ -154,16 +144,13 @@ def backward(loss: Tensor) -> None:
     for out, inputs, backward_fn in reversed(tape._nodes):
         if out.grad is None:
             continue
-        contribs = backward_fn(out.grad)
-        for t, g in zip(inputs, contribs):
-            if g is not None and t._needs_grad:
-                t.accumulate_grad(g)
+        for t, g in zip(inputs, backward_fn(out.grad)):
+            t.accumulate_grad(g)
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    out._needs_grad = any(t._needs_grad for t in inputs)
-    if _ACTIVE_TAPE is not None and out._needs_grad:
+    if _ACTIVE_TAPE is not None:
         _ACTIVE_TAPE.record(out, inputs, backward_fn)
     return out
 
@@ -458,24 +445,23 @@ def position_lookup(table: Tensor, start: int, batch: int, length: int) -> Tenso
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
-    """Mean negative log-softmax of target classes over non-ignored rows."""
-    if logits.ndim != 2:
-        raise ShapeMismatchError(f"cross_entropy expects [n, V] logits, got {logits.shape}")
+    """Mean negative log-softmax of the target classes over non-ignored positions,
+    for [..., V] logits and targets of their leading shape."""
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (logits.shape[0],):
-        raise ShapeMismatchError(
-            f"cross_entropy targets shape {targets.shape} does not match logits rows {logits.shape[0]}"
-        )
+    if logits.ndim < 1 or targets.shape != logits.shape[:-1]:
+        raise ShapeMismatchError(f"cross_entropy needs [..., V] logits and targets of their "
+                                 f"leading shape, got {logits.shape} and {targets.shape}")
+    targets = targets.reshape(-1)
     keep = targets != ignore_id
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise DataError("empty loss: every position is ignored")
-    v = logits.shape[1]
+    v = logits.shape[-1]
     kept_targets = targets[keep]
     if kept_targets.min() < 0 or kept_targets.max() >= v:
         raise DataError(f"cross_entropy target id out of range [0, {v})")
 
-    ld = logits.data
+    ld = logits.data.reshape(-1, v)
     m = ld.max(axis=1, keepdims=True)
     e = np.exp(ld - m)
     z = e.sum(axis=1, keepdims=True)
@@ -489,7 +475,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> T
         gl = np.zeros_like(ld)
         gl[rows] = p[rows]
         gl[rows, kept_targets] -= 1.0
-        return (gl * (float(g) / n_keep),)
+        return ((gl * (float(g) / n_keep)).reshape(logits.shape),)
 
     return _make(out, (logits,), bw)
-

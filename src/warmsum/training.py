@@ -49,6 +49,8 @@ class TrainConfig:
                 raise DataError(f"TrainConfig.{name} must be at least 2")
         if self.learning_rate < 0:  # zero is allowed: a no-op run must stay bit-identical
             raise DataError("TrainConfig.learning_rate must be non-negative")
+        if self.seed < 0:  # PCG64 takes no negative seed
+            raise DataError(f"TrainConfig.seed must be non-negative, got {self.seed}")
 
 
 def lr_at(step: int, cfg: TrainConfig) -> float:
@@ -220,7 +222,7 @@ def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,
         raise DataError(f"corpus has {len(seqs)} usable lines, fewer than one "
                         f"batch of {cfg.batch_size}")
 
-    params = {name: T.parameter(arr, name)
+    params = {name: T.Tensor(arr)
               for name, arr in fresh_params(model_cfg, "encoder_mlm", cfg.seed).items()}
     model = EncoderMlm(model_cfg, params)
     state = OptimizerState(params)

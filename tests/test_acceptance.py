@@ -55,23 +55,23 @@ def _random_pair(rng, config=TINY, batch=2, src_len=6, tgt_len=5):
 
 def _op_cases(rng):
     """(name, tensors, build) triples covering every differentiable op."""
-    x34 = T.parameter(rng.normal(size=(3, 4)), "x")
-    y42 = T.parameter(rng.normal(size=(4, 2)), "y")
-    b234 = T.parameter(rng.normal(size=(2, 3, 4)), "a")
-    b245 = T.parameter(rng.normal(size=(2, 4, 5)), "b")
-    bias = T.parameter(rng.normal(size=4), "bias")
-    gain = T.parameter(rng.normal(size=4) + 1.0, "gain")
-    table = T.parameter(rng.normal(size=(6, 3)), "table")
+    x34 = T.Tensor(rng.normal(size=(3, 4)))
+    y42 = T.Tensor(rng.normal(size=(4, 2)))
+    b234 = T.Tensor(rng.normal(size=(2, 3, 4)))
+    b245 = T.Tensor(rng.normal(size=(2, 4, 5)))
+    bias = T.Tensor(rng.normal(size=4))
+    gain = T.Tensor(rng.normal(size=4) + 1.0)
+    table = T.Tensor(rng.normal(size=(6, 3)))
     ids = rng.integers(0, 6, size=(2, 4))
-    logit = T.parameter(rng.normal(size=(5, 7)), "logits")
+    logit = T.Tensor(rng.normal(size=(5, 7)))
     targets = np.array([0, 3, -1, 6, 2])
     w34 = rng.normal(size=(3, 4))
     w234 = rng.normal(size=(2, 3, 4))
     w122 = rng.normal(size=(12, 2))
-    w44 = T.parameter(rng.normal(size=(4, 4)), "w")
-    x2344 = T.parameter(rng.normal(size=(2, 3, 4)), "x2")
-    q = T.parameter(rng.normal(size=(2, 2, 3, 4)), "q")
-    k = T.parameter(rng.normal(size=(2, 2, 5, 4)), "k")
+    w44 = T.Tensor(rng.normal(size=(4, 4)))
+    x2344 = T.Tensor(rng.normal(size=(2, 3, 4)))
+    q = T.Tensor(rng.normal(size=(2, 2, 3, 4)))
+    k = T.Tensor(rng.normal(size=(2, 2, 5, 4)))
     key_mask = np.where(rng.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0)
     key_mask[..., 0] = 0.0  # every query attends to at least one key
     w2234 = rng.normal(size=(2, 2, 3, 4))
@@ -126,7 +126,7 @@ def test_a1_gradient_suite():
         rng = np.random.default_rng(seed)
         for name, tensors, build in _op_cases(rng):
             for t in tensors:
-                t.zero_grad()
+                t.grad = None
             with T.Tape():
                 T.backward(build())
             for t in tensors:

@@ -234,6 +234,22 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
      "decoding beam_size must be an integer >= 1, got 0"),
     ('{"decoding": {"max_len": 0}, "output_dir": "OUT"}',
      "decoding max_len must be an integer >= 1, got 0"),
+    # seeds that PCG64 refuses, and values that would mis-run without an error
+    ('{"pretrain": {"seed": -1}, "output_dir": "OUT"}',
+     "config.pretrain: TrainConfig.seed must be non-negative, got -1"),
+    ('{"corpus": {"synthetic": {"seed": -1}}, "output_dir": "OUT"}',
+     "config.corpus.synthetic: seed must be non-negative, got -1"),
+    ('{"corpus": {"synthetic": {"n_words": 0}}, "output_dir": "OUT"}',
+     "config.corpus.synthetic: n_words must be at least 1, got 0"),
+    ('{"corpus": {"synthetic": {"n_words": 781}}, "output_dir": "OUT"}',
+     "config.corpus.synthetic: word inventory supports at most 780 words, asked for 781"),
+    ('{"corpus": {"synthetic": {"chain_prob": 2.0}}, "output_dir": "OUT"}',
+     "config.corpus.synthetic: chain_prob must be between 0 and 1, got 2.0"),
+    ('{"seeds": [-1], "output_dir": "OUT"}',
+     "seeds must be a nonempty list of non-negative integers, got [-1]"),
+    ('{"seeds": [1, 1], "output_dir": "OUT"}', "seeds must not repeat, got [1, 1]"),
+    ('{"modes": ["RND2RND", "RND2RND"], "output_dir": "OUT"}',
+     "modes must not repeat, got ['RND2RND', 'RND2RND']"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.json"
@@ -334,6 +350,19 @@ def generate_args(tmp_path):
     return ["generate", "--config", str(tmp_path / "cfg.json"), "--ckpt",
             str(tmp_path / "m.ckpt"), "--vocab", str(tmp_path / "vocab.txt"),
             "--out", str(tmp_path / "out.txt")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["assemble", "--mode", "rnd2rnd"],
+    ["finetune", "--ckpt", "m.ckpt", "--train", "train.jsonl", "--dev", "dev.jsonl"],
+], ids=["assemble", "finetune"])
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                  generate_args, argv):
+    monkeypatch.chdir(tmp_path)  # beside generate_args' cfg.json, vocab.txt and m.ckpt
+    assert main([*argv, "--config", "cfg.json", "--vocab", "vocab.txt", "--seed", "-1",
+                 "--out", "new.ckpt"]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "new.ckpt").exists()
 
 
 def test_generate_non_utf8_input_exits_2(tmp_path, capsys, generate_args):

@@ -226,6 +226,16 @@ def test_forward_loss_matches_manual_cross_entropy():
     assert loss.item() == pytest.approx(manual.item(), rel=1e-12)
 
 
+def test_a_training_step_of_a_2_plus_2_model_records_91_nodes():
+    # 3 per embedding, 15 per encoder layer, 26 per decoder layer, and the tied
+    # output projection (transpose, matmul) plus the loss
+    model = tiny_model(seed=9).train(np.random.default_rng(0))
+    src, tgt = random_batch(np.random.default_rng(9), TINY)
+    with T.Tape() as tape:
+        T.backward(model.forward_loss(src, tgt))
+        assert len(tape) == 2 * 3 + 2 * 15 + 2 * 26 + 3 == 91
+
+
 def test_forward_loss_invariant_to_src_padding():
     model = tiny_model(seed=10)
     src = np.array([[BOS, 6, 7, 9, EOS]])
@@ -293,7 +303,7 @@ def test_full_model_gradient_against_finite_differences():
 def test_mlm_head_ties_encoder_embedding():
     from warmsum.assembly import fresh_params
 
-    params = {name: T.parameter(arr, name)
+    params = {name: T.Tensor(arr)
               for name, arr in fresh_params(TINY, "encoder_mlm", seed=1).items()}
     mlm = EncoderMlm(TINY, params)
     ids = np.array([[BOS, 6, 7, EOS]])

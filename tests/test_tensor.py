@@ -14,7 +14,7 @@ from warmsum.errors import DataError, ShapeMismatchError
 
 def analytic_grads(build, tensors):
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     with T.Tape():
         loss = build()
         T.backward(loss)
@@ -25,7 +25,7 @@ def check_op_gradient(build, tensors, tol=1e-4):
     grads = analytic_grads(build, tensors)
     for t, g in zip(tensors, grads):
         numeric = fd_grad(lambda: build().item(), t)
-        assert rel_err(g, numeric) < tol, f"gradient mismatch for {t.name or t.shape}"
+        assert rel_err(g, numeric) < tol, f"gradient mismatch for {t.shape}"
 
 
 # ---------------------------------------------------------------------------
@@ -50,17 +50,17 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    a = T.parameter(rng.normal(size=(3, 4)), "a")
-    b = T.parameter(rng.normal(size=(4, 2)), "b")
+    a = T.Tensor(rng.normal(size=(3, 4)))
+    b = T.Tensor(rng.normal(size=(4, 2)))
     check_op_gradient(lambda: T.sum_all(T.matmul(a, b)), [a, b], tol=1e-6)
 
 
 def test_matmul_batched_and_stacked_gradients():
     rng = np.random.default_rng(1)
-    a = T.parameter(rng.normal(size=(2, 3, 4)), "a")
-    b2 = T.parameter(rng.normal(size=(4, 5)), "b2")
+    a = T.Tensor(rng.normal(size=(2, 3, 4)))
+    b2 = T.Tensor(rng.normal(size=(4, 5)))
     check_op_gradient(lambda: T.sum_all(T.matmul(a, b2)), [a, b2])
-    b3 = T.parameter(rng.normal(size=(2, 4, 5)), "b3")
+    b3 = T.Tensor(rng.normal(size=(2, 4, 5)))
     check_op_gradient(lambda: T.sum_all(T.matmul(a, b3)), [a, b3])
 
 
@@ -101,7 +101,7 @@ def _dot(t, w):
 
 def test_softmax_gradient():
     rng = np.random.default_rng(2)
-    x = T.parameter(rng.normal(size=(3, 5)), "x")
+    x = T.Tensor(rng.normal(size=(3, 5)))
     w = rng.normal(size=(3, 5))
     check_op_gradient(lambda: _dot(T.softmax(x, axis=-1), w), [x])
 
@@ -134,9 +134,9 @@ def test_layer_norm_mean_and_variance():
 
 def test_layer_norm_gradient():
     rng = np.random.default_rng(4)
-    x = T.parameter(rng.normal(size=(2, 6)), "x")
-    g = T.parameter(rng.normal(size=6) + 1.0, "gain")
-    b = T.parameter(rng.normal(size=6), "bias")
+    x = T.Tensor(rng.normal(size=(2, 6)))
+    g = T.Tensor(rng.normal(size=6) + 1.0)
+    b = T.Tensor(rng.normal(size=6))
     w = rng.normal(size=(2, 6))
     check_op_gradient(lambda: _dot(T.layer_norm(x, g, b, eps=1e-8), w), [x, g, b], tol=1e-5)
 
@@ -145,18 +145,30 @@ def test_layer_norm_gradient():
 # cross_entropy
 
 
+def _cross_entropy(logits, targets):
+    """The loss of [n, V] logits and [n] targets; read as [2, n / 2, V] logits and
+    [2, n / 2] targets, they must give the same loss and gradient bit for bit."""
+    runs = []
+    for lead in (targets.shape, (2, -1)):
+        x = T.Tensor(logits.reshape(*lead, logits.shape[-1]))
+        with T.Tape():
+            loss = T.cross_entropy(x, targets.reshape(x.shape[:-1]), ignore_id=-1)
+            T.backward(loss)
+        runs.append((loss.data.tobytes(), x.grad.tobytes()))
+    assert runs[0] == runs[1]
+    return loss.item()
+
+
 def test_cross_entropy_uniform_logits():
-    logits = T.Tensor(np.zeros((3, 4)))
-    loss = T.cross_entropy(logits, np.array([0, 1, 2]))
-    assert loss.item() == pytest.approx(math.log(4.0), rel=1e-12)
+    loss = _cross_entropy(np.zeros((4, 4)), np.array([0, 1, 2, 3]))
+    assert loss == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 def test_cross_entropy_peaked_logits():
     logits = np.full((2, 5), -30.0)
     logits[0, 1] = 30.0
     logits[1, 4] = 30.0
-    loss = T.cross_entropy(T.Tensor(logits), np.array([1, 4]))
-    assert loss.item() < 1e-12
+    assert _cross_entropy(logits, np.array([1, 4])) < 1e-12
 
 
 def test_cross_entropy_ignored_positions_match_subbatch():
@@ -164,21 +176,28 @@ def test_cross_entropy_ignored_positions_match_subbatch():
     logits = rng.normal(size=(8, 6))
     targets = rng.integers(0, 6, size=8)
     targets[4:] = -1
-    full = T.cross_entropy(T.Tensor(logits), targets, ignore_id=-1)
-    sub = T.cross_entropy(T.Tensor(logits[:4]), targets[:4], ignore_id=-1)
-    assert full.item() == pytest.approx(sub.item(), rel=1e-12)
+    full = _cross_entropy(logits, targets)
+    sub = _cross_entropy(logits[:4], targets[:4])
+    assert full == pytest.approx(sub, rel=1e-12)
 
 
 def test_cross_entropy_all_ignored_is_empty_loss():
-    with pytest.raises(DataError, match="empty loss"):
-        T.cross_entropy(T.Tensor(np.zeros((2, 3))), np.array([-1, -1]), ignore_id=-1)
+    for shape in ((2, 3), (2, 1, 3)):
+        with pytest.raises(DataError, match="empty loss"):
+            T.cross_entropy(T.Tensor(np.zeros(shape)), np.full(shape[:-1], -1), ignore_id=-1)
+
+
+def test_cross_entropy_rejects_targets_of_another_shape():
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 4\) and \(6,\)"):
+        T.cross_entropy(T.Tensor(np.zeros((2, 3, 4))), np.zeros(6), ignore_id=-1)
 
 
 def test_cross_entropy_gradient():
     rng = np.random.default_rng(6)
-    logits = T.parameter(rng.normal(size=(5, 7)), "logits")
-    targets = np.array([0, 3, -1, 6, 2])
-    check_op_gradient(lambda: T.cross_entropy(logits, targets, ignore_id=-1), [logits])
+    for lead in ((6,), (2, 3)):
+        logits = T.Tensor(rng.normal(size=(*lead, 7)))
+        targets = np.array([0, 3, -1, 6, 2, 5]).reshape(lead)
+        check_op_gradient(lambda: T.cross_entropy(logits, targets, ignore_id=-1), [logits])
 
 
 # ---------------------------------------------------------------------------
@@ -186,21 +205,21 @@ def test_cross_entropy_gradient():
 
 
 def test_backward_sum_gives_ones():
-    x = T.parameter(np.arange(6.0).reshape(2, 3))
+    x = T.Tensor(np.arange(6.0).reshape(2, 3))
     with T.Tape():
         T.backward(T.sum_all(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_softmax_conservation():
-    x = T.parameter(np.random.default_rng(7).normal(size=(4, 5)))
+    x = T.Tensor(np.random.default_rng(7).normal(size=(4, 5)))
     with T.Tape():
         T.backward(T.sum_all(T.softmax(x, axis=-1)))
     assert np.all(np.abs(x.grad) < 1e-12)
 
 
 def test_backward_twice_without_reset_errors():
-    x = T.parameter([1.0, 2.0])
+    x = T.Tensor([1.0, 2.0])
     with T.Tape():
         loss = T.sum_all(x)
         T.backward(loss)
@@ -210,7 +229,7 @@ def test_backward_twice_without_reset_errors():
 
 
 def test_tape_frees_its_graph_when_the_block_ends():
-    x = T.parameter([1.0, 2.0])
+    x = T.Tensor([1.0, 2.0])
     gc.disable()  # only reference counting may free the graph
     try:
         with T.Tape() as tape:
@@ -227,7 +246,7 @@ def test_tape_frees_its_graph_when_the_block_ends():
 
 
 def test_backward_after_the_block_ends_errors():
-    x = T.parameter([1.0, 2.0])
+    x = T.Tensor([1.0, 2.0])
     with T.Tape():
         loss = T.sum_all(x)
     with pytest.raises(RuntimeError, match="closed"):
@@ -236,15 +255,24 @@ def test_backward_after_the_block_ends_errors():
 
 
 def test_backward_requires_scalar():
-    x = T.parameter([1.0, 2.0])
+    x = T.Tensor([1.0, 2.0])
     with T.Tape():
         y = T.scale(x, 2.0)
         with pytest.raises(ShapeMismatchError):
             T.backward(y)
 
 
+def test_an_op_on_a_constant_records_and_the_constant_gets_its_gradient():
+    x, const = T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]])
+    with T.Tape() as tape:
+        T.backward(T.sum_all(T.matmul(x, const)))
+        assert len(tape) == 2
+    assert x.grad.tolist() == [[3.0, 4.0]]
+    assert const.grad.tolist() == [[1.0], [2.0]]
+
+
 def test_backward_without_tape_errors():
-    x = T.parameter([1.0])
+    x = T.Tensor([1.0])
     loss = T.sum_all(x)  # no tape active
     with pytest.raises(RuntimeError, match="tape"):
         T.backward(loss)
@@ -252,7 +280,7 @@ def test_backward_without_tape_errors():
 
 def test_backward_fanout_accumulates_both_paths():
     rng = np.random.default_rng(8)
-    x = T.parameter(rng.normal(size=(3, 3)), "x")
+    x = T.Tensor(rng.normal(size=(3, 3)))
     w = rng.normal(size=(3, 3))
 
     def build():
@@ -268,8 +296,8 @@ def test_backward_fanout_accumulates_both_paths():
 
 def test_add_bias_over_last_axis_gradient():
     rng = np.random.default_rng(9)
-    x = T.parameter(rng.normal(size=(2, 3, 4)), "x")
-    b = T.parameter(rng.normal(size=4), "b")
+    x = T.Tensor(rng.normal(size=(2, 3, 4)))
+    b = T.Tensor(rng.normal(size=4))
     check_op_gradient(lambda: T.sum_all(T.add(x, b)), [x, b])
 
 
@@ -279,7 +307,7 @@ def test_add_rejects_general_broadcasting():
 
 
 def test_scale_and_add_const():
-    x = T.parameter([[1.0, -2.0]])
+    x = T.Tensor([[1.0, -2.0]])
     out = T.add_const(T.scale(x, 3.0), np.array([10.0, 20.0]))
     assert out.data.tolist() == [[13.0, 14.0]]
     with T.Tape():
@@ -289,13 +317,13 @@ def test_scale_and_add_const():
 
 def test_gelu_gradients():
     rng = np.random.default_rng(10)
-    x = T.parameter(rng.normal(size=(4, 4)), "x")
+    x = T.Tensor(rng.normal(size=(4, 4)))
     w = rng.normal(size=(4, 4))
     check_op_gradient(lambda: _dot(T.gelu(x), w), [x])
 
 
 def test_embedding_lookup_gather_and_scatter():
-    table = T.parameter(np.arange(12.0).reshape(4, 3), "emb")
+    table = T.Tensor(np.arange(12.0).reshape(4, 3))
     ids = np.array([[1, 1, 3]])
     out = T.embedding_lookup(table, ids)
     assert out.data.shape == (1, 3, 3)
@@ -309,7 +337,7 @@ def test_embedding_lookup_gather_and_scatter():
 
 
 def test_embedding_lookup_rejects_bad_ids():
-    table = T.parameter(np.zeros((4, 3)))
+    table = T.Tensor(np.zeros((4, 3)))
     with pytest.raises(DataError):
         T.embedding_lookup(table, np.array([4]))
 
@@ -317,7 +345,7 @@ def test_embedding_lookup_rejects_bad_ids():
 @pytest.mark.parametrize("batch", [1, 5, 8, 16, 32])
 def test_position_lookup_matches_embedding_lookup_bit_for_bit(batch):
     rng = np.random.default_rng(batch)
-    table = T.parameter(rng.normal(size=(40, 32)), "pos")
+    table = T.Tensor(rng.normal(size=(40, 32)))
     w = rng.normal(size=(batch, 34, 32))
     start = 3
     ids = np.broadcast_to(np.arange(start, start + 34), (batch, 34))
@@ -326,7 +354,7 @@ def test_position_lookup_matches_embedding_lookup_bit_for_bit(batch):
     grads = []
     for lookup in (lambda: T.position_lookup(table, start, batch, 34),
                    lambda: T.embedding_lookup(table, ids)):
-        table.zero_grad()
+        table.grad = None
         with T.Tape():
             T.backward(_dot(lookup(), w))
         grads.append(table.grad.tobytes())
@@ -334,7 +362,7 @@ def test_position_lookup_matches_embedding_lookup_bit_for_bit(batch):
 
 
 def test_position_lookup_rejects_positions_past_the_table():
-    table = T.parameter(np.zeros((4, 3)))
+    table = T.Tensor(np.zeros((4, 3)))
     with pytest.raises(DataError):
         T.position_lookup(table, 2, 1, 3)
     with pytest.raises(DataError):
@@ -352,7 +380,7 @@ def test_dropout_inverted_scaling():
 
 
 def test_dropout_gradient_with_fixed_mask():
-    x = T.parameter(np.random.default_rng(12).normal(size=(3, 3)), "x")
+    x = T.Tensor(np.random.default_rng(12).normal(size=(3, 3)))
 
     def build():
         return T.sum_all(T.dropout(x, 0.4, np.random.default_rng(99)))
@@ -362,7 +390,7 @@ def test_dropout_gradient_with_fixed_mask():
 
 def test_reshape_transpose_gradients():
     rng = np.random.default_rng(14)
-    x = T.parameter(rng.normal(size=(2, 3, 4)), "x")
+    x = T.Tensor(rng.normal(size=(2, 3, 4)))
     w = rng.normal(size=(4, 3, 2))
     check_op_gradient(lambda: _dot(T.transpose(x, (2, 1, 0)), w), [x])
     check_op_gradient(lambda: _dot(T.reshape(x, (6, 4)), w.reshape(6, 4)), [x])

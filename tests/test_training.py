@@ -19,7 +19,7 @@ from warmsum.training import (ADAM_EPS, BETA1, BETA2, GRADIENT_CLIP_NORM, Metric
 
 
 def _param(value, name="p"):
-    t = T.parameter(np.asarray(value, dtype=np.float64), name)
+    t = T.Tensor(np.asarray(value, dtype=np.float64))
     return {name: t}
 
 
@@ -101,7 +101,7 @@ def _per_tensor_adam(params, m, v, step, lr):
         m[n] = BETA1 * m.get(n, 0.0) + (1.0 - BETA1) * g
         v[n] = BETA2 * v.get(n, 0.0) + (1.0 - BETA2) * g * g
         params[n].data -= lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + ADAM_EPS)
-        params[n].zero_grad()
+        params[n].grad = None
 
 
 def _train_steps(update, steps=12, seed=4):
@@ -177,7 +177,7 @@ def test_training_steps_keep_freed_memory_in_the_process():
 
     cfg = ModelConfig(vocab_size=256, d_model=32, n_heads=4, d_ff=64, n_enc_layers=1,
                       n_dec_layers=0, max_positions=64, dropout=0.0)
-    params = {name: T.parameter(arr, name)
+    params = {name: T.Tensor(arr)
               for name, arr in fresh_params(cfg, "encoder_mlm", 0).items()}
     model = EncoderMlm(cfg, params)
     state = OptimizerState(params)
