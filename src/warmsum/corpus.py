@@ -120,19 +120,21 @@ def split(examples: list[CorpusExample], ratios: tuple[float, float, float],
     check_ratios(ratios)
     shuffled = list(examples)
     XorShift64Star(seed).shuffle(shuffled)
-    n = len(shuffled)
+    cut1, cut2 = split_cuts(len(shuffled), ratios) if shuffled else (0, 0)
+    return {"train": shuffled[:cut1], "dev": shuffled[cut1:cut2], "test": shuffled[cut2:]}
+
+
+def split_cuts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int]:
+    """Where `split` cuts n shuffled examples: train [:cut1], dev [cut1:cut2] and
+    test [cut2:]. Refuses cuts that leave a part with a positive ratio empty."""
     cut1 = round(n * ratios[0])
     cut2 = round(n * (ratios[0] + ratios[1]))
-    parts = {
-        "train": shuffled[:cut1],
-        "dev": shuffled[cut1:cut2],
-        "test": shuffled[cut2:],
-    }
-    if n:
-        for name, ratio in zip(("train", "dev", "test"), ratios):
-            if ratio > 0 and not parts[name]:
-                raise DataError(f"split produced an empty {name} set (n={n}, ratios={ratios})")
-    return parts
+    sizes = (cut1, cut2 - cut1, n - cut2)
+    for name, ratio, size in zip(("train", "dev", "test"), ratios, sizes):
+        if ratio > 0 and size < 1:
+            raise DataError(f"splitting {n} examples by ratios {list(ratios)} leaves the "
+                            f"{name} set empty")
+    return cut1, cut2
 
 
 def word_count(text: str) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DataError
-from .model import DecoderCache, EncoderDecoderModel, pad_batch, pad_mask_from_ids
+from .model import DecoderCache, EncoderDecoderModel, pad_batch
 from .tokenizer import BOS, EOS, PAD
 
 BANNED_GENERATION_IDS = (PAD, BOS)
@@ -74,7 +74,7 @@ def greedy_decode_batch(model: EncoderDecoderModel, srcs: list[list[int]],
 def _greedy_chunk(model: EncoderDecoderModel, srcs: list[list[int]],
                   max_len: int) -> list[np.ndarray]:
     src = pad_batch(srcs)
-    src_real = pad_mask_from_ids(src)
+    src_real = src != PAD
     memory = model.encode(src)
 
     b = len(srcs)
@@ -113,7 +113,7 @@ def beam_search_hypothesis(model: EncoderDecoderModel, src: list[int], beam_size
     _check_max_len(model, max_len)
     model.eval()
     src_arr = np.asarray([src], dtype=np.int64)
-    src_real = pad_mask_from_ids(src_arr)
+    src_real = src_arr != PAD
     memory = model.encode(src_arr)
 
     cache = DecoderCache()
@@ -150,7 +150,7 @@ def sequence_logprob(model: EncoderDecoderModel, src: list[int], seq: list[int])
         raise DataError("sequence must contain BOS plus at least one token")
     model.eval()
     src_arr = np.asarray([src], dtype=np.int64)
-    src_real = pad_mask_from_ids(src_arr)
+    src_real = src_arr != PAD
     memory = model.encode(src_arr)
     prefix = np.asarray([seq[:-1]], dtype=np.int64)
     logits = model.decode_logits(prefix, memory, src_real).data[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import statistics
 import traceback
 import typing
@@ -35,18 +36,20 @@ from .training import (MetricsLog, TrainConfig, evaluate_mlm, finetune, frame_id
 class TokenizerSettings:
     target_vocab_size: int = 256
 
+    def __post_init__(self):
+        least = tok.NUM_SPECIALS + 2  # the specials, one character and the word end
+        if self.target_vocab_size < least:
+            raise DataError(f"target_vocab_size must be at least {least}, "
+                            f"got {self.target_vocab_size}")
+
 
 @dataclass(frozen=True)
 class DecodingSettings:
     beam_size: int = 1  # 1 is greedy search
-    max_len: int = 10
-    length_penalty_alpha: float = 1.0
 
     def __post_init__(self):
-        for name in ("beam_size", "max_len"):
-            value = getattr(self, name)
-            if value < 1:
-                raise DataError(f"decoding {name} must be an integer >= 1, got {value!r}")
+        if self.beam_size < 1:
+            raise DataError(f"decoding beam_size must be an integer >= 1, got {self.beam_size!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class CorpusSettings:
         if not all(r > 0 for r in self.ratios):
             raise DataError(f"corpus.ratios must give train, dev and test each a positive "
                             f"share, got {self.ratios!r}")
+        if not self.path:
+            corpus_mod.split_cuts(self.synthetic.n_pairs, self.ratios)
 
 
 @dataclass(frozen=True)
@@ -126,12 +131,10 @@ class ExperimentConfig:
 
 def check_windows(cfg: ExperimentConfig, positions: int, owner: str) -> None:
     """Refuse a window of `cfg` longer than `positions`, the count `owner` names."""
-    # the decoder reads BOS plus up to max_len generated tokens, and dev
-    # evaluation greedy-decodes max_tgt_len tokens
+    # dev evaluation and test decoding read BOS plus up to max_tgt_len generated tokens
     for name, need in (("pretrain.max_src_len", cfg.pretrain.max_src_len),
                        ("finetune.max_src_len", cfg.finetune.max_src_len),
-                       ("finetune.max_tgt_len + 1", cfg.finetune.max_tgt_len + 1),
-                       ("decoding.max_len + 1", cfg.decoding.max_len + 1)):
+                       ("finetune.max_tgt_len + 1", cfg.finetune.max_tgt_len + 1)):
         if need > positions:
             raise DataError(f"{name} is {need}, more than {owner} {positions}")
 
@@ -188,6 +191,8 @@ def read_settings(cls, obj, where: str, default):
         return tuple(read_settings(typing.get_args(hint)[0], value, f"{where}[{i}]", None)
                      for i, value in enumerate(obj))
     if type(obj) is hint or (hint is float and type(obj) is int):
+        if type(obj) is float and not math.isfinite(obj):  # JSON's NaN and Infinity
+            raise DataError(f"{where} must be a finite number, got {obj!r}")
         return obj
     kind = "a list" if typing.get_origin(hint) is tuple else _KINDS.get(hint, "an object")
     raise DataError(f"{where} must be {kind}{' or null' * optional}, got {obj!r}")
@@ -310,15 +315,15 @@ def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
 
 def _decode_test(cfg: ExperimentConfig, model_ckpt, bodies: list[str],
                  vocab: tok.Vocabulary) -> list[str]:
-    """Summaries of the bodies, each framed in the fine-tuning source window."""
+    """Summaries of the bodies, each framed in the fine-tuning source window and at
+    most `finetune.max_tgt_len` tokens long, the budget of dev evaluation."""
     model = EncoderDecoderModel.from_checkpoint(model_ckpt).eval()
     srcs = [frame_ids(tok.encode(body, vocab).ids, cfg.finetune.max_src_len) for body in bodies]
-    dec = cfg.decoding
-    if dec.beam_size == 1:  # a one-wide beam finishes one hypothesis: the greedy one
-        outs = greedy_decode_batch(model, srcs, dec.max_len)
+    beam_size, max_len = cfg.decoding.beam_size, cfg.finetune.max_tgt_len
+    if beam_size == 1:  # a one-wide beam finishes one hypothesis: the greedy one
+        outs = greedy_decode_batch(model, srcs, max_len)
     else:
-        outs = [beam_search(model, s, dec.beam_size, dec.max_len,
-                            dec.length_penalty_alpha) for s in srcs]
+        outs = [beam_search(model, s, beam_size, max_len) for s in srcs]
     return [tok.decode(list(o), vocab) for o in outs]
 
 
@@ -329,9 +334,10 @@ def _read_scores(path: Path, mode: str, seed: int) -> CellResult:
         if (obj["mode"], obj["seed"]) != (mode, seed):
             raise ValueError(f"it records cell {obj['mode']!r} seed {obj['seed']!r}")
         f1 = [obj[key]["f1"] for key in ("rouge1", "rouge2", "rougeL")]
-        if not all(type(x) in (int, float) for x in f1):
-            raise ValueError(f"f1 scores must be numbers, got {f1!r}")
-    except (ValueError, KeyError, TypeError) as e:  # JSON and UTF-8 errors are ValueErrors
+        if not all(type(x) in (int, float) and math.isfinite(x) for x in f1):
+            raise ValueError(f"f1 scores must be finite numbers, got {f1!r}")
+    # JSON and UTF-8 errors are ValueErrors; an integer past float range overflows
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise DataError(f"{path}: malformed scores ({type(e).__name__}: {e})") from None
     return CellResult(mode, seed, f1[0] * 100, f1[1] * 100, f1[2] * 100)
 
@@ -430,9 +436,10 @@ def encoder_quality_text(output_dir) -> str:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
         loss, accuracy, entropy = (obj[k] for k in keys)
-        if not all(type(x) in (int, float) for x in (loss, accuracy, entropy)):
-            raise ValueError(f"values must be numbers, got {[obj[k] for k in keys]!r}")
-    except (ValueError, KeyError, TypeError) as e:  # JSON and UTF-8 errors are ValueErrors
+        if not all(type(x) in (int, float) and math.isfinite(x)
+                   for x in (loss, accuracy, entropy)):
+            raise ValueError(f"values must be finite numbers, got {[obj[k] for k in keys]!r}")
+    except (ValueError, KeyError, TypeError, OverflowError) as e:  # as in _read_scores
         raise DataError(f"{path}: malformed encoder quality ({type(e).__name__}: {e})") from None
     return (f"MLM encoder: dev masked-token loss {loss:.3f} nats "
             f"(accuracy {accuracy:.1%}), unigram entropy {entropy:.3f} nats\n")

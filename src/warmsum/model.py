@@ -128,10 +128,6 @@ def pad_batch(seqs: list[list[int]]) -> np.ndarray:
     return out
 
 
-def pad_mask_from_ids(ids: np.ndarray) -> np.ndarray:
-    return np.asarray(ids) != PAD
-
-
 def _key_mask(real: np.ndarray) -> np.ndarray:
     # [B, Lk] bool -> additive [B, 1, 1, Lk]
     return np.where(real, 0.0, NEG_INF)[:, None, None, :]
@@ -151,8 +147,8 @@ class DecoderCache:
     cross-attention keys and values from the encoder memory and keeps the
     source mask; later calls reuse them and ignore `memory` and
     `src_pad_mask`. Self-attention entries grow by the positions of each call.
-    Inference only: cached arrays carry no graph, so a cached call while a
-    tape is active raises.
+    A caller's cache is for inference only: cached arrays carry no graph, so
+    passing one while a tape is active raises.
     """
 
     def __init__(self):
@@ -265,15 +261,13 @@ class EncoderDecoderModel(_Model):
 
     def encode(self, src_ids: np.ndarray) -> T.Tensor:
         src_ids = np.asarray(src_ids, dtype=np.int64)
-        return self._encoder_stack(src_ids, pad_mask_from_ids(src_ids))
+        return self._encoder_stack(src_ids, src_ids != PAD)
 
     def decode_logits(self, tgt_ids: np.ndarray, memory: T.Tensor, src_pad_mask: np.ndarray,
                       cache: DecoderCache | None = None) -> T.Tensor:
-        """Logits [B, L, V] for the positions of tgt_ids.
-
-        Without a cache tgt_ids is the whole prefix. With a `DecoderCache`
-        tgt_ids holds only the positions after those already cached, and the
-        cache grows by them.
+        """Logits [B, L, V] for the positions of tgt_ids, the positions after
+        those already in `cache`; the cache grows by them. Without a cache
+        tgt_ids is the whole prefix.
         """
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
         h = self._decoder_stack(tgt_ids, memory, np.asarray(src_pad_mask), cache)
@@ -285,33 +279,31 @@ class EncoderDecoderModel(_Model):
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
         _check_target_framing(tgt_ids)
         memory = self.encode(src_ids)
-        logits = self.decode_logits(tgt_ids[:, :-1], memory, pad_mask_from_ids(src_ids))
+        logits = self.decode_logits(tgt_ids[:, :-1], memory, src_ids != PAD)
         return T.cross_entropy(logits, tgt_ids[:, 1:], ignore_id=PAD)
 
     def _decoder_stack(self, tgt_ids: np.ndarray, memory: T.Tensor, src_real: np.ndarray,
                        cache: DecoderCache | None = None) -> T.Tensor:
-        """Decoder states of tgt_ids; with a cache, tgt_ids are the positions after it."""
+        """Decoder states of tgt_ids, the positions after those in `cache`; a
+        fresh cache when None, so a whole prefix runs the same body as a step."""
         if cache is None:
-            start, cross_mask = 0, _key_mask(src_real)
-        else:
-            if T.recording():
-                raise RuntimeError("a decoder cache is for inference only; "
-                                   "cached keys and values carry no graph")
-            if cache.cross_mask is None:
-                cache.cross_mask = _key_mask(src_real)
-            start, cross_mask = cache.length, cache.cross_mask
-        causal = _causal_mask(tgt_ids.shape[1], start)
-        x = self._embed("decoder", tgt_ids, start)
+            cache = DecoderCache()
+        elif T.recording():
+            raise RuntimeError("a decoder cache is for inference only; "
+                               "cached keys and values carry no graph")
+        if cache.cross_mask is None:
+            cache.cross_mask = _key_mask(src_real)
+        causal = _causal_mask(tgt_ids.shape[1], cache.length)
+        x = self._embed("decoder", tgt_ids, cache.length)
         for i in range(self.config.n_dec_layers):
             base = f"decoder.layer.{i}"
             x = self._sublayer(f"{base}.self_attn", x,
                                self._attention(f"{base}.self_attn", x, x, causal, cache))
             x = self._sublayer(f"{base}.cross_attn", x,
-                               self._attention(f"{base}.cross_attn", x, memory, cross_mask,
-                                               cache))
+                               self._attention(f"{base}.cross_attn", x, memory,
+                                               cache.cross_mask, cache))
             x = self._sublayer(f"{base}.ff", x, self._feed_forward(f"{base}.ff", x))
-        if cache is not None:
-            cache.length = start + tgt_ids.shape[1]
+        cache.length += tgt_ids.shape[1]
         return x
 
 
@@ -342,7 +334,7 @@ class EncoderMlm(_Model):
 
     def logits(self, ids: np.ndarray) -> T.Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        h = self._encoder_stack(ids, pad_mask_from_ids(ids))
+        h = self._encoder_stack(ids, ids != PAD)
         return T.linear(h, T.transpose(self.params["encoder.embed.token"]),
                         self.params["mlm.bias"])
 

@@ -322,9 +322,7 @@ def finetune(ckpt: Checkpoint, train_set, dev_set, vocab: Vocabulary,
     if not train_set or not dev_set:
         raise DataError("finetune needs nonempty train and dev sets")
     train_pairs = encode_pairs(train_set, vocab, cfg)
-    dev_pairs = encode_pairs(dev_set, vocab, cfg)
-    if eval_limit is not None:
-        dev_pairs = dev_pairs[:eval_limit]
+    dev_pairs = encode_pairs(dev_set[:eval_limit], vocab, cfg)
     dev_refs = [decode(list(tgt), vocab).split() for _, tgt in dev_pairs]
 
     model = EncoderDecoderModel.from_checkpoint(ckpt)

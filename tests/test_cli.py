@@ -217,8 +217,20 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
      "config.finetune.total_steps must be an integer, got 2.5"),
     ('{"corpus": {"synthetic": {"remap": 1}}, "output_dir": "OUT"}',
      "config.corpus.synthetic.remap must be true or false, got 1"),
-    ('{"decoding": {"length_penalty_alpha": "x"}, "output_dir": "OUT"}',
-     "config.decoding.length_penalty_alpha must be a number, got 'x'"),
+    ('{"finetune": {"learning_rate": "x"}, "output_dir": "OUT"}',
+     "config.finetune.learning_rate must be a number, got 'x'"),
+    # JSON's non-finite numbers, which Python's reader accepts
+    ('{"finetune": {"learning_rate": NaN}, "output_dir": "OUT"}',
+     "config.finetune.learning_rate must be a finite number, got nan"),
+    ('{"pretrain": {"learning_rate": Infinity}, "output_dir": "OUT"}',
+     "config.pretrain.learning_rate must be a finite number, got inf"),
+    ('{"corpus": {"ratios": [0.1, -Infinity, 0.8]}, "output_dir": "OUT"}',
+     "config.corpus.ratios[1] must be a finite number, got -inf"),
+    # keys that earlier versions had
+    ('{"decoding": {"max_len": 10}, "output_dir": "OUT"}',
+     "unknown keys in config.decoding: ['max_len']"),
+    ('{"decoding": {"length_penalty_alpha": 1.0}, "output_dir": "OUT"}',
+     "unknown keys in config.decoding: ['length_penalty_alpha']"),
     # cross-field checks run when the config is built
     ('{"corpus": {"synthetic": {"body_min": 4}}, "output_dir": "OUT"}',
      "config.corpus.synthetic: need lead_k <= body_min <= body_max, got 8/4/24"),
@@ -232,8 +244,6 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
      "corpus.ratios must give train, dev and test each a positive share"),
     ('{"decoding": {"beam_size": 0}, "output_dir": "OUT"}',
      "decoding beam_size must be an integer >= 1, got 0"),
-    ('{"decoding": {"max_len": 0}, "output_dir": "OUT"}',
-     "decoding max_len must be an integer >= 1, got 0"),
     # seeds that PCG64 refuses, and values that would mis-run without an error
     ('{"pretrain": {"seed": -1}, "output_dir": "OUT"}',
      "config.pretrain: TrainConfig.seed must be non-negative, got -1"),
@@ -250,6 +260,13 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
     ('{"seeds": [1, 1], "output_dir": "OUT"}', "seeds must not repeat, got [1, 1]"),
     ('{"modes": ["RND2RND", "RND2RND"], "output_dir": "OUT"}',
      "modes must not repeat, got ['RND2RND', 'RND2RND']"),
+    # values that no corpus could run with
+    ('{"tokenizer": {"target_vocab_size": 0}, "output_dir": "OUT"}',
+     "config.tokenizer: target_vocab_size must be at least 7, got 0"),
+    ('{"corpus": {"synthetic": {"n_pairs": 0}}, "output_dir": "OUT"}',
+     "config.corpus: splitting 0 examples by ratios [0.1, 0.1, 0.8] leaves the train set empty"),
+    ('{"corpus": {"synthetic": {"n_pairs": 5}}, "output_dir": "OUT"}',
+     "config.corpus: splitting 5 examples by ratios [0.1, 0.1, 0.8] leaves the train set empty"),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "cfg.json"
@@ -296,6 +313,17 @@ def test_report_with_scores_missing_rouge1_exits_2(tmp_path, capsys):
     assert f"{scores}: malformed scores (KeyError: 'rouge1')" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, error", [
+    ("NaN", "ValueError: f1 scores must be finite numbers"),
+    ("-Infinity", "ValueError: f1 scores must be finite numbers"),
+    ("1" + "0" * 400, "OverflowError: int too large to convert to float"),
+], ids=["nan", "-infinity", "integer-past-float-range"])
+def test_report_with_non_finite_scores_exits_2(tmp_path, capsys, value, error):
+    out, scores = _run_dir_with_scores(tmp_path, SCORES.replace("0.25", value))
+    assert main(["report", "--dir", str(out)]) == 2
+    assert f"{scores}: malformed scores ({error}" in capsys.readouterr().err
+
+
 def test_report_names_the_config_it_cannot_read(tmp_path, capsys):
     out, _ = _run_dir_with_scores(tmp_path, SCORES)
     cfg = out / "config.json"
@@ -315,10 +343,11 @@ def test_report_prints_the_encoder_quality_and_refuses_a_malformed_one(tmp_path,
     assert capsys.readouterr().out.splitlines()[-1] == (
         "MLM encoder: dev masked-token loss 2.250 nats (accuracy 50.0%), "
         "unigram entropy 4.000 nats")
-    quality.write_text('{"mlm_dev_accuracy": 0.5, "mlm_dev_loss": "2.25", '
-                       '"unigram_entropy": 4.0}', encoding="utf-8")
-    assert main(["report", "--dir", str(out)]) == 2
-    assert f"{quality}: malformed encoder quality (ValueError" in capsys.readouterr().err
+    for loss in ('"2.25"', "NaN"):
+        quality.write_text(f'{{"mlm_dev_accuracy": 0.5, "mlm_dev_loss": {loss}, '
+                           '"unigram_entropy": 4.0}', encoding="utf-8")
+        assert main(["report", "--dir", str(out)]) == 2
+        assert f"{quality}: malformed encoder quality (ValueError" in capsys.readouterr().err
 
 
 def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
@@ -329,14 +358,13 @@ def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
     assert f"{cand}: not valid UTF-8" in capsys.readouterr().err
 
 
-FITS_16 = {"pretrain": {"max_src_len": 16}, "finetune": {"max_src_len": 16},
-           "decoding": {"max_len": 4}}
+FITS_16 = {"pretrain": {"max_src_len": 16}, "finetune": {"max_src_len": 16}}
 
 
 @pytest.fixture
 def generate_args(tmp_path):
     """`generate` arguments for a random 16-position model, its vocabulary and a
-    config that fits it and decodes 4 tokens greedily, minus --input."""
+    config that fits it and decodes up to 10 tokens greedily, minus --input."""
     from warmsum.assembly import AssemblyMode, assemble, save_checkpoint
     from warmsum.model import ModelConfig
     from warmsum.tokenizer import save_vocab, train_bpe
@@ -376,7 +404,7 @@ def test_generate_non_utf8_input_exits_2(tmp_path, capsys, generate_args):
 def test_generate_empty_input_writes_an_empty_file(tmp_path, generate_args, beam_size):
     bodies = tmp_path / "in.txt"
     bodies.write_text("", encoding="utf-8")
-    cfg = {**FITS_16, "decoding": {"max_len": 4, "beam_size": beam_size}}
+    cfg = {**FITS_16, "decoding": {"beam_size": beam_size}}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg), encoding="utf-8")
     assert main([*generate_args, "--input", str(bodies)]) == 0
     assert (tmp_path / "out.txt").read_bytes() == b""

@@ -7,11 +7,10 @@ import pytest
 from warmsum.assembly import load_checkpoint
 from warmsum.cli import main
 from warmsum.errors import DataError
-from warmsum.experiment import (CellResult, CorpusSettings, DecodingSettings,
-                                ExperimentConfig, ModelSettings, ResultsTable,
-                                TokenizerSettings, config_from_json, config_to_json,
-                                encoder_quality_text, load_results, pretraining_lines,
-                                run_experiment)
+from warmsum.experiment import (CellResult, CorpusSettings, ExperimentConfig, ModelSettings,
+                                ResultsTable, TokenizerSettings, config_from_json,
+                                config_to_json, encoder_quality_text, load_results,
+                                pretraining_lines, run_experiment)
 from warmsum.corpus import load_jsonl, split
 from warmsum.synthetic import SyntheticSettings, generate_corpus, word_inventory
 from warmsum.tokenizer import encode, load_vocab, train_bpe
@@ -33,7 +32,6 @@ def tiny_config(output_dir, modes=("RND2RND", "WARM2WARM"), seeds=(1, 2)):
                              batch_size=8, max_src_len=20, max_tgt_len=10),
         modes=modes,
         seeds=seeds,
-        decoding=DecodingSettings(max_len=8),
         output_dir=str(output_dir),
     )
 
@@ -123,7 +121,6 @@ def test_default_windows_hold_whole_documents():
     assert cfg.pretrain.max_src_len >= syn.body_max + syn.lead_k + 2  # "body abstract"
     assert cfg.finetune.max_src_len >= syn.body_max + 2
     assert cfg.finetune.max_tgt_len >= syn.lead_k + 2
-    assert cfg.decoding.max_len >= syn.lead_k + 1  # the abstract, then EOS
 
 
 def test_results_table_rendering():
@@ -216,7 +213,6 @@ def test_run_experiment_rejects_conflicting_config(tmp_path):
     ("pretrain", {"max_src_len": 65}, "pretrain.max_src_len"),
     ("finetune", {"max_src_len": 65}, "finetune.max_src_len"),
     ("finetune", {"max_tgt_len": 64}, "finetune.max_tgt_len \\+ 1"),
-    ("decoding", {"max_len": 64}, "decoding.max_len \\+ 1"),
 ])
 def test_windows_must_fit_the_positions(section, change, name):
     cfg = ExperimentConfig()

@@ -155,6 +155,21 @@ def test_cached_logits_match_full_prefix():
         assert np.max(np.abs(np.concatenate(cached, axis=1) - full)) < 1e-12, f"seed {seed}"
 
 
+def test_a_whole_prefix_decodes_as_a_first_call_on_a_fresh_cache():
+    rng = np.random.default_rng(22)
+    for seed in range(3):
+        model = tiny_model(seed=seed).eval()
+        src = padded_sources(rng, [5, 9])
+        memory = model.encode(src)
+        tgt = rng.integers(5, TINY.vocab_size, size=(2, 6))
+        tgt[:, 0] = BOS
+        full = model.decode_logits(tgt, memory, src != PAD).data
+        cache = DecoderCache()
+        first = model.decode_logits(tgt, memory, src != PAD, cache=cache).data
+        assert full.tobytes() == first.tobytes(), f"seed {seed}"
+        assert cache.length == tgt.shape[1]
+
+
 def test_reordered_cache_matches_a_cache_rebuilt_from_the_selected_prefixes():
     rng = np.random.default_rng(21)
     model = tiny_model(seed=11).eval()
