@@ -5,6 +5,10 @@ assembly, fine-tuning, decoding and ROUGE scoring into a comparison table
 over (assembly mode, seed) cells. Every intermediate artifact is persisted
 under the output directory, cells resume from their persisted scores, and
 the final table is byte-identical across reruns of the same config.
+
+Pretraining and the cells run in a pool of forked worker processes, one per
+usable core: the RND2RND cells, which need no encoder, run while the encoder
+pretrains, and the warm cells start once it is done.
 """
 
 from __future__ import annotations
@@ -13,9 +17,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import statistics
+import sys
+import time
 import traceback
 import typing
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -158,7 +168,7 @@ def load_config(path) -> ExperimentConfig:
 def config_from_json(text: str) -> ExperimentConfig:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, or an integer past Python's digit limit
         raise DataError(f"config is not valid JSON ({e})") from None
     return read_settings(ExperimentConfig, obj, "config", ExperimentConfig())
 
@@ -193,7 +203,10 @@ def read_settings(cls, obj, where: str, default):
     if type(obj) is hint or (hint is float and type(obj) is int):
         if type(obj) is float and not math.isfinite(obj):  # JSON's NaN and Infinity
             raise DataError(f"{where} must be a finite number, got {obj!r}")
-        return obj
+        if hint is float and type(obj) is int and abs(obj) > sys.float_info.max:
+            raise DataError(f"{where} must be a finite number, got an integer past "
+                            f"float range")
+        return obj  # an integer stays one, so config.json keeps its bytes
     kind = "a list" if typing.get_origin(hint) is tuple else _KINDS.get(hint, "an object")
     raise DataError(f"{where} must be {kind}{' or null' * optional}, got {obj!r}")
 
@@ -290,26 +303,46 @@ def pretraining_lines(examples) -> list[str]:
 _QUALITY_FILE = "encoder_quality.json"
 
 
+@contextmanager
+def _timed(timings: dict, phase: str):
+    start = time.perf_counter()
+    yield
+    timings[f"{phase}_s"] = time.perf_counter() - start
+
+
+def _write_timings(directory: Path, timings: dict) -> None:
+    """Record the wall time of each phase this process ran, not of those resumed
+    from disk; no other artifact depends on the file, and no run reads it."""
+    if timings:
+        write_atomic(directory / "timings.json",
+                     json.dumps(timings, indent=2, sort_keys=True) + "\n")
+
+
 def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
                      splits, vocab: tok.Vocabulary):
     enc_path = out / "encoder_mlm.ckpt"
+    timings = {}
     if enc_path.exists():
         ckpt = load_checkpoint(enc_path)
     else:
-        ckpt = pretrain_mlm(pretraining_lines(splits["train"]), vocab, model_cfg,
-                            cfg.pretrain, MetricsLog(out / "pretrain_metrics.csv"))
-        ckpt.vocab_ref = "vocab.txt"
-        save_checkpoint(ckpt, enc_path)
+        with _timed(timings, "pretrain"):
+            ckpt = pretrain_mlm(pretraining_lines(splits["train"]), vocab, model_cfg,
+                                cfg.pretrain, MetricsLog(out / "pretrain_metrics.csv"))
+            ckpt.vocab_ref = "vocab.txt"
+            save_checkpoint(ckpt, enc_path)
     quality_path = out / _QUALITY_FILE
     if not quality_path.exists():
-        # the held-out masked-token loss, and the loss of a model that knows
-        # only the training-token frequencies
-        loss, accuracy = evaluate_mlm(ckpt, pretraining_lines(splits["dev"]), vocab,
+        with _timed(timings, "encoder_quality"):
+            # the held-out masked-token loss, and the loss of a model that knows
+            # only the training-token frequencies
+            loss, accuracy = evaluate_mlm(ckpt, pretraining_lines(splits["dev"]), vocab,
+                                          cfg.pretrain)
+            entropy = unigram_entropy(pretraining_lines(splits["train"]), vocab,
                                       cfg.pretrain)
-        entropy = unigram_entropy(pretraining_lines(splits["train"]), vocab, cfg.pretrain)
-        quality = {"mlm_dev_loss": loss, "mlm_dev_accuracy": accuracy,
-                   "unigram_entropy": entropy}
-        write_atomic(quality_path, json.dumps(quality, indent=2, sort_keys=True) + "\n")
+            quality = {"mlm_dev_loss": loss, "mlm_dev_accuracy": accuracy,
+                       "unigram_entropy": entropy}
+            write_atomic(quality_path, json.dumps(quality, indent=2, sort_keys=True) + "\n")
+    _write_timings(out, timings)
     return ckpt
 
 
@@ -350,34 +383,76 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
     if scores_path.exists():
         return _read_scores(scores_path, mode, seed)
 
-    assembled = assemble(encoder_ckpt, AssemblyMode(mode), model_cfg, seed,
-                         vocab_ref="vocab.txt")
-    save_checkpoint(assembled, cell / "assembled.ckpt")
+    timings = {}
+    with _timed(timings, "assemble"):
+        assembled = assemble(encoder_ckpt, AssemblyMode(mode), model_cfg, seed,
+                             vocab_ref="vocab.txt")
+        save_checkpoint(assembled, cell / "assembled.ckpt")
 
-    ft_cfg = replace(cfg.finetune, seed=seed)
-    best, _ = finetune(assembled, splits["train"], splits["dev"], vocab, ft_cfg,
-                       MetricsLog(cell / "metrics.csv"), eval_limit=cfg.dev_eval_limit)
-    save_checkpoint(best, cell / "best.ckpt")
+    with _timed(timings, "finetune"):
+        ft_cfg = replace(cfg.finetune, seed=seed)
+        best, _ = finetune(assembled, splits["train"], splits["dev"], vocab, ft_cfg,
+                           MetricsLog(cell / "metrics.csv"), eval_limit=cfg.dev_eval_limit)
+        save_checkpoint(best, cell / "best.ckpt")
 
-    decoded = _decode_test(cfg, best, [ex.body for ex in splits["test"]], vocab)
-    decodes_path = cell / "test_decodes.txt"
-    write_atomic(decodes_path, "\n".join(decoded) + "\n")
+    with _timed(timings, "decode"):
+        decoded = _decode_test(cfg, best, [ex.body for ex in splits["test"]], vocab)
+        decodes_path = cell / "test_decodes.txt"
+        write_atomic(decodes_path, "\n".join(decoded) + "\n")
 
-    scores = corpus_rouge(list(zip(decoded, [ex.abstract for ex in splits["test"]])))
-    record = {
-        "mode": mode,
-        "seed": seed,
-        "checkpoint_sha256": _sha256(cell / "best.ckpt"),
-        "decodes_sha256": _sha256(decodes_path),
-    }
-    for key, sc in scores.items():
-        record[key] = {"precision": sc.precision, "recall": sc.recall, "f1": sc.f1}
+    with _timed(timings, "score"):
+        scores = corpus_rouge(list(zip(decoded, [ex.abstract for ex in splits["test"]])))
+        record = {
+            "mode": mode,
+            "seed": seed,
+            "checkpoint_sha256": _sha256(cell / "best.ckpt"),
+            "decodes_sha256": _sha256(decodes_path),
+        }
+        for key, sc in scores.items():
+            record[key] = {"precision": sc.precision, "recall": sc.recall, "f1": sc.f1}
+    _write_timings(cell, timings)
     write_atomic(scores_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
     return CellResult(mode, seed, scores["rouge1"].f1 * 100,
                       scores["rouge2"].f1 * 100, scores["rougeL"].f1 * 100)
 
 
+def _pool_size(tasks: int) -> int:
+    """One worker per usable core, and never more than `tasks`: a fork pool
+    starts all of its workers at once."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, tasks))
+
+
+def _start(pool, fn, *args):
+    """A future of fn(*args), run by a worker of `pool`.
+
+    A function that pickle cannot name, such as a closure that a profiler
+    installed in place of a stage, cannot be sent to a worker. It runs here and
+    now, so the process that wrapped it sees its calls, in the order of a serial
+    run.
+    """
+    try:
+        pickle.dumps(fn)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        from concurrent.futures import Future
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as e:
+            future.set_exception(e)
+        return future
+    return pool.submit(fn, *args)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
+    # imported here, so that processes which never run an experiment (the
+    # staged CLI, decoding) do not hold the pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "config.json"
@@ -391,21 +466,44 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     splits = _prepare_splits(cfg, out)
     vocab = _prepare_vocab(cfg, out, splits["train"])
     model_cfg = cfg.model.to_model_config(vocab.size)
-    needs_encoder = any(m != AssemblyMode.RND2RND.value for m in cfg.modes)
-    encoder_ckpt = _prepare_encoder(cfg, out, model_cfg, splits, vocab) \
-        if needs_encoder else None
+    cells = [(mode, seed) for mode in cfg.modes for seed in cfg.seeds]
+    warm = [c for c in cells if c[0] != AssemblyMode.RND2RND.value]
+
+    futures, broken = {}, None
+    # forked workers start without importing numpy again; a fork pool starts
+    # them all at the first submit, before its own thread (CPython 3.11)
+    with ProcessPoolExecutor(_pool_size(len(cells) + bool(warm)),
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        try:
+            # pretraining first; the cells that need no encoder run meanwhile
+            encoder = _start(pool, _prepare_encoder, cfg, out, model_cfg, splits,
+                             vocab) if warm else None
+            for mode, seed in (c for c in cells if c not in warm):
+                futures[mode, seed] = _start(pool, _run_cell, cfg, out, mode, seed,
+                                             model_cfg, None, splits, vocab)
+            if encoder is not None:
+                encoder_ckpt = encoder.result()  # a pretraining error propagates
+                for mode, seed in warm:
+                    futures[mode, seed] = _start(pool, _run_cell, cfg, out, mode, seed,
+                                                 model_cfg, encoder_ckpt, splits, vocab)
+        except BrokenProcessPool as e:  # a worker died: the cells not started fail too
+            broken = e
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # and wait for the running cells
+            raise
 
     table = ResultsTable()
-    for mode in cfg.modes:
-        for seed in cfg.seeds:
-            try:
-                table.rows.append(_run_cell(cfg, out, mode, seed, model_cfg,
-                                            encoder_ckpt, splits, vocab))
-            except Exception as e:  # record the diagnostic, keep other cells going
-                cell = out / "cells" / f"{mode}_s{seed}"
-                cell.mkdir(parents=True, exist_ok=True)
-                (cell / "error.txt").write_text(traceback.format_exc(), encoding="utf-8")
-                table.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
+    for mode, seed in cells:
+        try:
+            if (mode, seed) not in futures:
+                raise broken
+            table.rows.append(futures[mode, seed].result())
+        except Exception as e:  # record the diagnostic, keep other cells going
+            cell = out / "cells" / f"{mode}_s{seed}"
+            cell.mkdir(parents=True, exist_ok=True)
+            (cell / "error.txt").write_text(f"cell {mode} seed {seed}\n"
+                                            + traceback.format_exc(), encoding="utf-8")
+            table.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
 
     write_atomic(out / "results.txt", table.render_text())
     write_atomic(out / "results.csv", table.to_csv())

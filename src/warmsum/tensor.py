@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +55,36 @@ def _keep_freed_heap() -> None:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
         mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+def _pin_blas_to_one_thread() -> None:
+    """Run the OpenBLAS that numpy bundles on one thread; called once, at import.
+
+    With more threads OpenBLAS splits the inner dimension of a large product
+    (a weight gradient over a whole batch) between them, which reorders its
+    float sums: the same run would write other checkpoint bytes on a host with
+    another core count. OPENBLAS_NUM_THREADS is read only when numpy is first
+    imported, which may come before this module, so the library is asked
+    directly. Where numpy bundles no OpenBLAS, or it lacks the call, nothing
+    changes.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # the copy numpy loaded, not a second one
+        except OSError:
+            continue
+        # numpy 2's scipy-openblas, and the libopenblas64_ of numpy 1.2x wheels
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_"):
+            set_threads = getattr(lib, name, None)
+            if set_threads is not None:
+                set_threads.argtypes = (ctypes.c_int,)
+                set_threads.restype = None
+                set_threads(1)
+                return
+
+
+_pin_blas_to_one_thread()
 
 
 class Tensor:

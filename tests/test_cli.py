@@ -277,6 +277,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, text, message):
     assert not (tmp_path / "runs").exists()  # checked whole before anything is written
 
 
+def test_integer_past_float_range_exits_2_before_any_artifact(tmp_path, capsys):
+    out = tmp_path / "runs"
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"pretrain": {{"learning_rate": 1{"0" * 400}}}, "output_dir": "{out}"}}',
+                    encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 2
+    assert ("config.pretrain.learning_rate must be a finite number, got an integer past "
+            "float range") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_model_settings_exit_2_before_any_artifact(tmp_path, capsys):
     out = tmp_path / "runs"
     path = tmp_path / "cfg.json"

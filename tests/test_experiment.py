@@ -1,9 +1,16 @@
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import warmsum.experiment as experiment
 from warmsum.assembly import load_checkpoint
 from warmsum.cli import main
 from warmsum.errors import DataError
@@ -103,6 +110,22 @@ def test_a_config_naming_one_printed_value_reads_as_the_defaults():
         defaults, finetune=dataclasses.replace(defaults.finetune, max_src_len=16))
 
 
+def test_config_refuses_an_integer_past_float_range():
+    huge = "1" + "0" * 400
+    with pytest.raises(DataError, match="^config.pretrain.learning_rate must be a finite "
+                                        "number, got an integer past float range$"):
+        config_from_json(f'{{"pretrain": {{"learning_rate": {huge}}}}}')
+    with pytest.raises(DataError, match="^config.corpus.ratios\\[1\\] must be a finite"):
+        config_from_json(f'{{"corpus": {{"ratios": [0.1, -{huge}, 0.8]}}}}')
+    # past Python's digit limit the JSON reader itself refuses the number
+    with pytest.raises(DataError, match="^config is not valid JSON"):
+        config_from_json(f'{{"pretrain": {{"learning_rate": 1{"0" * 5000}}}}}')
+    # an integer in range stays an integer, so config.json keeps its bytes
+    cfg = config_from_json('{"pretrain": {"learning_rate": 1}}')
+    assert type(cfg.pretrain.learning_rate) is int
+    assert '"learning_rate": 1,' in config_to_json(cfg)
+
+
 def test_config_validates_modes_and_seeds(tmp_path):
     with pytest.raises(ValueError):
         tiny_config(tmp_path, modes=("RND2BOGUS",))
@@ -167,6 +190,15 @@ def test_run_experiment_end_to_end(tmp_path, capsys):
     results_csv = (out / "results.csv").read_bytes()
     mtimes = {p: p.stat().st_mtime_ns for p in (out / "cells").rglob("scores.json")}
 
+    # each phase's wall time, written by the process that ran it
+    assert multiprocessing.active_children() == []
+    phases = {"": ["encoder_quality_s", "pretrain_s"],
+              **{f"cells/{m}_s{s}": ["assemble_s", "decode_s", "finetune_s", "score_s"]
+                 for m in cfg.modes for s in cfg.seeds}}
+    timings = {d: json.loads((out / d / "timings.json").read_text()) for d in phases}
+    for d, keys in phases.items():
+        assert sorted(timings[d]) == keys and all(t >= 0 for t in timings[d].values()), d
+
     # rerun: byte-identical table, no cell recomputation
     table2 = run_experiment(cfg)
     assert (out / "results.txt").read_bytes() == results_txt
@@ -195,6 +227,10 @@ def test_run_experiment_end_to_end(tmp_path, capsys):
     quality_path.unlink()
     run_experiment(cfg)
     assert quality_path.read_bytes() == quality_bytes
+    # a resumed run times only what it ran
+    assert list(json.loads((out / "timings.json").read_text())) == ["encoder_quality_s"]
+    assert json.loads((out / "cells" / "RND2RND_s1" / "timings.json").read_text()) == \
+        timings["cells/RND2RND_s1"]
     assert main(["report", "--dir", str(out)]) == 0
     assert capsys.readouterr().out == results_txt.decode() + encoder_quality_text(out)
     assert encoder_quality_text(out).startswith(f"MLM encoder: dev masked-token loss {loss:.3f}")
@@ -220,3 +256,135 @@ def test_windows_must_fit_the_positions(section, change, name):
     with pytest.raises(DataError, match=f"{name} is 65, more than model.max_positions 64"):
         dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section),
                                                                  **change)})
+
+
+# -- the process pool -----------------------------------------------------------
+
+
+def test_pool_never_has_more_workers_than_tasks(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert [experiment._pool_size(n) for n in (1, 3, 64, 100)] == [1, 3, 64, 64]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert [experiment._pool_size(n) for n in (1, 10, 100)] == [1, 10, 64]
+
+    # one RND2RND cell is one task, so the run forks one worker on a 64-core host
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    table = run_experiment(tiny_config(tmp_path / "runs", modes=("RND2RND",), seeds=(1,)))
+    assert sizes == [1] and len(table.rows) == 1
+
+
+def _cells_failing_in_a_worker(monkeypatch, failing, fail):
+    """Make `experiment.assemble` call fail() in the cells named in `failing`."""
+    assemble = experiment.assemble
+    parent = os.getpid()
+
+    def assemble_or_fail(encoder, mode, model_cfg, seed, **kwargs):
+        if (mode.value, seed) in failing:
+            assert os.getpid() != parent, "cells run in workers"
+            fail()
+        return assemble(encoder, mode, model_cfg, seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "assemble", assemble_or_fail)
+
+
+def _boom():
+    raise RuntimeError("boom")
+
+
+@pytest.mark.slow
+def test_a_cell_that_raises_in_a_worker_fails_alone(tmp_path, monkeypatch):
+    out = tmp_path / "runs"
+    _cells_failing_in_a_worker(monkeypatch, {("WARM2WARM", 2)}, _boom)
+    table = run_experiment(tiny_config(out))
+    assert multiprocessing.active_children() == []
+    assert [(r.mode, r.seed) for r in table.rows] == [("RND2RND", 1), ("RND2RND", 2),
+                                                       ("WARM2WARM", 1)]
+    assert table.failures == [("WARM2WARM", 2, "RuntimeError: boom")]
+    error = (out / "cells" / "WARM2WARM_s2" / "error.txt").read_text()
+    # the worker's traceback, down to the raise
+    assert error.startswith("cell WARM2WARM seed 2\n") and "in _run_cell" in error
+    assert 'raise RuntimeError("boom")' in error
+    results = (out / "results.txt").read_text()
+    assert results == table.render_text() and "2 FAILED: RuntimeError: boom\n" in results
+    assert not (out / "cells" / "WARM2WARM_s1" / "error.txt").exists()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stage", ["cell", "pretraining"])
+def test_a_dead_worker_fails_its_cells_not_the_run(tmp_path, monkeypatch, stage):
+    out = tmp_path / "runs"
+    if stage == "cell":
+        _cells_failing_in_a_worker(monkeypatch, {("WARM2WARM", 2)}, lambda: os._exit(1))
+        dead = {("WARM2WARM", 2)}
+    else:
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "pretraining runs in a worker"
+            os._exit(1)
+
+        monkeypatch.setattr(experiment, "pretrain_mlm", die)
+        dead = {("WARM2WARM", 1), ("WARM2WARM", 2)}
+    cfg = tiny_config(out)
+    table = run_experiment(cfg)
+    assert multiprocessing.active_children() == []
+    failed = {(mode, seed) for mode, seed, _ in table.failures}
+    assert dead <= failed  # and the cells its death cut short
+    assert sorted(failed | {(r.mode, r.seed) for r in table.rows}) == \
+        sorted((m, s) for m in cfg.modes for s in cfg.seeds)
+    for mode, seed, message in table.failures:
+        assert message.startswith("BrokenProcessPool: ")
+        error = (out / "cells" / f"{mode}_s{seed}" / "error.txt").read_text()
+        assert error.startswith(f"cell {mode} seed {seed}\n") and "BrokenProcessPool" in error
+    assert (out / "results.txt").read_text() == table.render_text()
+
+
+def test_a_pretraining_error_still_exits_2(tmp_path, capsys):
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "encoder_mlm.ckpt").write_bytes(b"not a checkpoint")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config_to_json(tiny_config(out)), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert "encoder_mlm.ckpt" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    assert not (out / "results.txt").exists()
+
+
+@pytest.mark.slow
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # pretraining batches of 44 documents of up to 20 tokens at d_model 32 make
+    # weight gradients whose inner dimension OpenBLAS splits between threads
+    cfg = tiny_config("runs", modes=("RND2RND", "WARM2WARM"), seeds=(1,))
+    cfg = dataclasses.replace(
+        cfg, corpus=dataclasses.replace(cfg.corpus, synthetic=dataclasses.replace(
+            cfg.corpus.synthetic, n_pairs=160)),
+        model=dataclasses.replace(cfg.model, d_model=32, d_ff=64),
+        pretrain=dataclasses.replace(cfg.pretrain, batch_size=44))
+    src = Path(experiment.__file__).resolve().parent.parent
+    artifacts = {}
+    for threads in ("1", "2", None):
+        run_dir = tmp_path / f"threads-{threads}"
+        run_dir.mkdir()
+        (run_dir / "cfg.json").write_text(config_to_json(cfg), encoding="utf-8")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(src)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-m", "warmsum", "run", "--config", "cfg.json"],
+                              cwd=run_dir, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        artifacts[threads] = {p.relative_to(run_dir): p.read_bytes()
+                              for p in sorted((run_dir / "runs").rglob("*"))
+                              if p.is_file() and p.name != "timings.json"}
+    assert len(artifacts["1"]) == 20  # run, data, encoder and two cells
+    assert artifacts["2"] == artifacts["1"]
+    assert artifacts[None] == artifacts["1"]
