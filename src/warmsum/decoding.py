@@ -1,12 +1,15 @@
-"""Autoregressive generation: greedy and beam search with length penalty.
+"""Autoregressive generation: one batched beam search with length penalty.
 
-Hypotheses are scored by cumulative log-probability divided by the length
-penalty ((5 + len) / 6) ** alpha, where len counts tokens generated after
-BOS. During search, same-length candidates are ranked by raw log-probability
-with ties broken by lexicographically smallest token ids, so beam_size 1
-with alpha 0 reproduces greedy decoding exactly. PAD and BOS can never be
-generated; a hypothesis finishes on EOS or at max_len. Both searches feed the
-decoder one new token per row and step through a `model.DecoderCache`.
+`search` decodes a chunk of sources together. Each source keeps its own
+beam: every step ranks its (row, token) candidates by cumulative
+log-probability, with ties broken by lexicographically smallest token ids,
+and keeps the best beam_size. Hypotheses are scored by cumulative
+log-probability divided by the length penalty ((5 + len) / 6) ** alpha,
+where len counts tokens generated after BOS. A one-wide beam finishes one
+hypothesis per source, so width 1 is greedy decoding whatever alpha is. PAD
+and BOS can never be generated; a hypothesis finishes on EOS or at max_len,
+and its row leaves the batch. The search feeds the decoder one new token per
+row and steps through a `model.DecoderCache`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .model import DecoderCache, EncoderDecoderModel, pad_batch
 from .tokenizer import BOS, EOS, PAD
 
 BANNED_GENERATION_IDS = (PAD, BOS)
-GREEDY_CHUNK = 32  # sources decoded together by greedy_decode_batch
+SEARCH_CHUNK = 32  # sources decoded together by search
 
 
 @dataclass
@@ -60,37 +63,75 @@ def _log_softmax(rows: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def greedy_decode_batch(model: EncoderDecoderModel, srcs: list[list[int]],
-                        max_len: int) -> list[np.ndarray]:
-    """Argmax decoding, GREEDY_CHUNK sources at a time; ties pick the lowest token id."""
+def search(model: EncoderDecoderModel, srcs: list[list[int]], beam_size: int,
+           max_len: int, alpha: float = 1.0) -> list[BeamHypothesis]:
+    """Each source's best finished hypothesis, SEARCH_CHUNK sources at a time.
+
+    Every step, each source keeps its beam_size best (row, token) candidates,
+    ranked by raw log-probability with ties to the lexicographically smallest
+    ids. A source's rows all have the same length, so that is the rank of the
+    parent's ids, then the token. The length penalty picks among a source's
+    finished hypotheses.
+    """
+    if beam_size < 1:
+        raise DataError(f"beam_size must be >= 1, got {beam_size}")
     _check_max_len(model, max_len)
     model.eval()
-    outs = []
-    for start in range(0, len(srcs), GREEDY_CHUNK):
-        outs.extend(_greedy_chunk(model, srcs[start:start + GREEDY_CHUNK], max_len))
-    return outs
+    hyps = []
+    for start in range(0, len(srcs), SEARCH_CHUNK):
+        hyps.extend(_search_chunk(model, srcs[start:start + SEARCH_CHUNK], beam_size,
+                                  max_len, alpha))
+    return hyps
 
 
-def _greedy_chunk(model: EncoderDecoderModel, srcs: list[list[int]],
-                  max_len: int) -> list[np.ndarray]:
+def _search_chunk(model: EncoderDecoderModel, srcs: list[list[int]], beam_size: int,
+                  max_len: int, alpha: float) -> list[BeamHypothesis]:
     src = pad_batch(srcs)
     src_real = src != PAD
     memory = model.encode(src)
 
-    b = len(srcs)
     cache = DecoderCache()
-    steps = [np.full(b, BOS, dtype=np.int64)]
-    done = np.zeros(b, dtype=bool)
-    for _ in range(max_len):
-        last = _step_logits(model, steps[-1], memory, src_real, cache)
-        last[:, list(BANNED_GENERATION_IDS)] = -np.inf
-        nxt = np.argmax(last, axis=-1)
-        nxt[done] = PAD
-        steps.append(nxt)
-        done |= nxt == EOS
-        if done.all():
+    source = np.arange(len(srcs))  # the source of each active row
+    ids = np.full((len(srcs), 1), BOS, dtype=np.int64)  # active hypotheses, BOS-prefixed
+    logprob = np.zeros(len(srcs))
+    completed: list[list[BeamHypothesis]] = [[] for _ in srcs]
+    for step in range(1, max_len + 1):
+        logp = _log_softmax(_step_logits(model, ids[:, -1], memory, src_real, cache))
+        logp[:, list(BANNED_GENERATION_IDS)] = -np.inf
+        scores = logprob[:, None] + logp
+        # a candidate below its row's beam_size-th best score cannot make its
+        # source's beam; partitioning keeps the ties at that score
+        nth = max(scores.shape[1] - beam_size, 0)
+        floor = np.partition(scores, nth, axis=1)[:, nth, None]
+        row, token = np.nonzero((scores >= floor) & (scores != -np.inf))
+        cand = scores[row, token]
+        parent_rank = np.empty(len(ids), dtype=np.int64)
+        parent_rank[np.lexsort(ids.T[::-1])] = np.arange(len(ids))
+        of_source = source[row]
+        order = np.lexsort((token, parent_rank[row], -cand, of_source))
+        ranked = of_source[order]
+        order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < beam_size]
+        row, token, cand = row[order], token[order], cand[order]
+
+        finished = (token == EOS) | (step == max_len)
+        for r, t, lp in zip(row[finished], token[finished], cand[finished]):
+            completed[source[r]].append(BeamHypothesis((*ids[r].tolist(), int(t)), float(lp)))
+        keep = ~finished
+        if not keep.any():
             break
-    return [row[row != PAD] for row in np.stack(steps, axis=1)]
+        row = row[keep]
+        if not np.array_equal(row, np.arange(len(ids))):
+            cache.reorder(row)
+        source = source[row]
+        ids = np.concatenate([ids[row], token[keep, None]], axis=1)
+        logprob = cand[keep]
+    return [min(c, key=lambda h: (-adjusted_score(h, alpha), h.ids)) for c in completed]
+
+
+def greedy_decode_batch(model: EncoderDecoderModel, srcs: list[list[int]],
+                        max_len: int) -> list[np.ndarray]:
+    """Argmax decoding, the one-wide search; ties pick the lowest token id."""
+    return [np.asarray(h.ids, dtype=np.int64) for h in search(model, srcs, 1, max_len, 0.0)]
 
 
 def beam_search(model: EncoderDecoderModel, src: list[int], beam_size: int,
@@ -102,46 +143,8 @@ def beam_search(model: EncoderDecoderModel, src: list[int], beam_size: int,
 
 def beam_search_hypothesis(model: EncoderDecoderModel, src: list[int], beam_size: int,
                            max_len: int, length_penalty_alpha: float = 1.0) -> BeamHypothesis:
-    """Keep the beam_size best (beam, token) candidates per step, one decoder cache for all.
-
-    Candidates are ranked by raw log-probability, ties to the lexicographically
-    smallest ids. Every active row has the same length, so that is the rank of
-    the parent's ids, then the token.
-    """
-    if beam_size < 1:
-        raise DataError(f"beam_size must be >= 1, got {beam_size}")
-    _check_max_len(model, max_len)
-    model.eval()
-    src_arr = np.asarray([src], dtype=np.int64)
-    src_real = src_arr != PAD
-    memory = model.encode(src_arr)
-
-    cache = DecoderCache()
-    ids = np.full((1, 1), BOS, dtype=np.int64)  # active hypotheses, BOS-prefixed
-    logprob = np.zeros(1)
-    completed: list[BeamHypothesis] = []
-    for step in range(1, max_len + 1):
-        logp = _log_softmax(_step_logits(model, ids[:, -1], memory, src_real, cache))
-        logp[:, list(BANNED_GENERATION_IDS)] = -np.inf
-        scores = logprob[:, None] + logp
-        parent_rank = np.empty(len(ids), dtype=np.int64)
-        parent_rank[np.lexsort(ids.T[::-1])] = np.arange(len(ids))
-        parent, token = np.nonzero(scores != -np.inf)
-        cand = scores[parent, token]
-        order = np.lexsort((token, parent_rank[parent], -cand))[:beam_size]
-        parent, token, cand = parent[order], token[order], cand[order]
-
-        finished = (token == EOS) | (step == max_len)
-        for p, t, lp in zip(parent[finished], token[finished], cand[finished]):
-            completed.append(BeamHypothesis((*ids[p].tolist(), int(t)), float(lp)))
-        keep = ~finished
-        if not keep.any():
-            break
-        cache.reorder(parent[keep])
-        ids = np.concatenate([ids[parent[keep]], token[keep, None]], axis=1)
-        logprob = cand[keep]
-    completed.sort(key=lambda h: (-adjusted_score(h, length_penalty_alpha), h.ids))
-    return completed[0]
+    """The search over one source."""
+    return search(model, [src], beam_size, max_len, length_penalty_alpha)[0]
 
 
 def sequence_logprob(model: EncoderDecoderModel, src: list[int], seq: list[int]) -> float:

@@ -32,7 +32,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import tokenizer as tok
 from .assembly import (AssemblyMode, assemble, load_checkpoint, save_checkpoint)
-from .decoding import beam_search, greedy_decode_batch
+from .decoding import search
 from .errors import DataError
 from .fileio import write_atomic
 from .model import EncoderDecoderModel, ModelConfig
@@ -352,12 +352,8 @@ def _decode_test(cfg: ExperimentConfig, model_ckpt, bodies: list[str],
     most `finetune.max_tgt_len` tokens long, the budget of dev evaluation."""
     model = EncoderDecoderModel.from_checkpoint(model_ckpt).eval()
     srcs = [frame_ids(tok.encode(body, vocab).ids, cfg.finetune.max_src_len) for body in bodies]
-    beam_size, max_len = cfg.decoding.beam_size, cfg.finetune.max_tgt_len
-    if beam_size == 1:  # a one-wide beam finishes one hypothesis: the greedy one
-        outs = greedy_decode_batch(model, srcs, max_len)
-    else:
-        outs = [beam_search(model, s, beam_size, max_len) for s in srcs]
-    return [tok.decode(list(o), vocab) for o in outs]
+    hyps = search(model, srcs, cfg.decoding.beam_size, cfg.finetune.max_tgt_len)
+    return [tok.decode(list(h.ids), vocab) for h in hyps]
 
 
 def _read_scores(path: Path, mode: str, seed: int) -> CellResult:

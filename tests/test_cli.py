@@ -421,6 +421,40 @@ def test_generate_empty_input_writes_an_empty_file(tmp_path, generate_args, beam
     assert (tmp_path / "out.txt").read_bytes() == b""
 
 
+def test_generate_beam_writes_what_per_source_beam_search_gives(tmp_path, generate_args):
+    import itertools
+
+    from warmsum.assembly import load_checkpoint, save_checkpoint
+    from warmsum.corpus import CorpusExample
+    from warmsum.decoding import beam_search
+    from warmsum.model import EncoderDecoderModel
+    from warmsum.tokenizer import decode, encode, load_vocab
+    from warmsum.training import TrainConfig, finetune, frame_ids
+
+    # a random model writes the same summary for every body; a short copy task
+    # makes the summaries depend on the source
+    vocab = load_vocab(tmp_path / "vocab.txt")
+    words = [" ".join(w) for n in (1, 2, 3) for w in itertools.product(["ba", "lo"], repeat=n)]
+    pairs = [CorpusExample(str(i), w, w) for i, w in enumerate(words)]
+    copier, _ = finetune(load_checkpoint(tmp_path / "m.ckpt"), pairs, pairs[:2], vocab,
+                         TrainConfig(learning_rate=3e-2, warmup_steps=2, total_steps=80,
+                                     max_src_len=16, max_tgt_len=10), eval_every=80)
+    save_checkpoint(copier, tmp_path / "m.ckpt")
+    lines = ["ba lo", "lo ba ba", "ba", "lo lo ba lo ba", "ba ba"]
+    bodies = tmp_path / "in.txt"
+    bodies.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    (tmp_path / "cfg.json").write_text(json.dumps({**FITS_16, "decoding": {"beam_size": 3}}),
+                                       encoding="utf-8")
+    assert main([*generate_args, "--input", str(bodies)]) == 0
+
+    model = EncoderDecoderModel.from_checkpoint(copier)
+    max_len = ExperimentConfig().finetune.max_tgt_len
+    expect = [decode(list(beam_search(model, frame_ids(encode(line, vocab).ids, 16), 3, max_len)),
+                     vocab) for line in lines]
+    assert len(set(expect)) > 1
+    assert (tmp_path / "out.txt").read_text(encoding="utf-8").splitlines() == expect
+
+
 def test_generate_failed_write_keeps_the_old_output(tmp_path, monkeypatch, generate_args):
     import warmsum.fileio
 

@@ -5,7 +5,7 @@ from warmsum import tensor as T
 from warmsum.assembly import AssemblyMode, assemble
 from warmsum.decoding import (BANNED_GENERATION_IDS, BeamHypothesis, adjusted_score,
                               beam_search, beam_search_hypothesis, greedy_decode_batch,
-                              length_penalty, sequence_logprob)
+                              length_penalty, search, sequence_logprob)
 from warmsum.errors import DataError
 from warmsum.model import EncoderDecoderModel, ModelConfig
 from warmsum.tokenizer import BOS, EOS, PAD
@@ -119,14 +119,42 @@ def test_greedy_output_structure():
         assert out[-1] == EOS or len(out) == 7
 
 
-def test_greedy_batch_matches_single():
+@pytest.mark.parametrize("beam_size", [1, 2, 4, 16])  # 16 is wider than the vocabulary
+def test_greedy_batch_matches_single(beam_size):
     model = random_model(3)
     rng = np.random.default_rng(3)
-    srcs = [random_src(rng, length=l) for l in (4, 5, 6)]
-    batch = greedy_decode_batch(model, srcs, max_len=8)
-    singles = [greedy_one(model, s, max_len=8) for s in srcs]
-    for b, s in zip(batch, singles):
-        assert np.array_equal(b, s)
+    srcs = [random_src(rng, length=l) for l in (4, 7, 3, 6, 5)]
+    for src, hyp in zip(srcs, search(model, srcs, beam_size, max_len=8)):
+        one = beam_search_hypothesis(model, src, beam_size, max_len=8)
+        assert hyp.ids == one.ids
+        assert abs(hyp.logprob - one.logprob) < 1e-12
+
+
+def test_search_breaks_exact_ties_within_each_source():
+    # A row's live tokens sit at logits 0 and -1 and the rest underflow, so
+    # scores are sums of a few exact values and tie exactly. Every source sees
+    # the same logits. At step 2 of a two-wide beam, (BOS, 5, 6) leads, and
+    # (BOS, 5, 7) and (BOS, 4, 8) tie for the second place: the tie goes to the
+    # smaller parent ids, (BOS, 4), though token 7 is smaller than 8.
+    v = 12
+
+    def row(top, second=()):
+        r = np.full(v, -5000.0)
+        r[list(second)] = -1.0
+        r[list(top)] = 0.0
+        return r
+
+    table = {i: row(range(4, v)) for i in range(v)}
+    table.update({BOS: row([5], [4]), 5: row([6], [7]), 4: row([8], [9]), 8: row([EOS]),
+                  7: row([10])})
+    model = ScriptedModel(table, v)
+    srcs = [[BOS, EOS], [BOS, 5, 6, 4, EOS], [BOS, 4, EOS]]
+    best = enumerate_decodable(model, srcs[0], max_len=3, alpha=1.0)
+    assert best == (BOS, 4, 8, EOS)
+    for beam_size, expect in ((1, (BOS, 5, 6, 4)), (2, best), (3, best), (16, best)):
+        hyps = search(model, srcs, beam_size, max_len=3)
+        assert [h.ids for h in hyps] == [expect] * len(srcs), f"beam {beam_size}"
+        assert len({h.logprob for h in hyps}) == 1
 
 
 def test_greedy_tokens_are_the_teacher_forced_argmax():
