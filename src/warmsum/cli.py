@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import signal
 import sys
 from pathlib import Path
 
@@ -156,9 +157,18 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    table = run_experiment(cfg)
+    # SIGTERM unwinds the run as Ctrl-C does, so its workers stop with it
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        table = run_experiment(cfg)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     sys.stdout.write(table.render_text())
     return 0
 

@@ -1,15 +1,16 @@
 """Autoregressive generation: one batched beam search with length penalty.
 
 `search` decodes a chunk of sources together. Each source keeps its own
-beam: every step ranks its (row, token) candidates by cumulative
-log-probability, with ties broken by lexicographically smallest token ids,
-and keeps the best beam_size. Hypotheses are scored by cumulative
-log-probability divided by the length penalty ((5 + len) / 6) ** alpha,
-where len counts tokens generated after BOS. A one-wide beam finishes one
-hypothesis per source, so width 1 is greedy decoding whatever alpha is. PAD
-and BOS can never be generated; a hypothesis finishes on EOS or at max_len,
-and its row leaves the batch. The search feeds the decoder one new token per
-row and steps through a `model.DecoderCache`.
+beam, with its rows in the lexicographic order of their ids: every step
+ranks its (row, token) candidates by cumulative log-probability, ties going
+to the smallest ids, and keeps the best beam_size. Hypotheses are scored by
+cumulative log-probability divided by the length penalty
+((5 + len) / 6) ** alpha, where len counts tokens generated after BOS. A
+one-wide beam finishes one hypothesis per source, so width 1 is greedy
+decoding whatever alpha is. PAD and BOS can never be generated; a
+hypothesis finishes on EOS or at max_len, and its row leaves the batch. The
+search feeds the decoder one new token per row and steps through a
+`model.DecoderCache`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import DataError
 from .model import DecoderCache, EncoderDecoderModel, pad_batch
 from .tokenizer import BOS, EOS, PAD
@@ -52,12 +52,6 @@ def _check_max_len(model: EncoderDecoderModel, max_len: int) -> None:
                         f"{model.config.max_positions} (minus BOS)")
 
 
-def _step_logits(model: EncoderDecoderModel, tokens: np.ndarray, memory: T.Tensor,
-                 src_real: np.ndarray, cache: DecoderCache) -> np.ndarray:
-    """Logits [B, V] after feeding each row's newest token through the cache."""
-    return model.decode_logits(tokens[:, None], memory, src_real, cache=cache).data[:, -1, :]
-
-
 def _log_softmax(rows: np.ndarray) -> np.ndarray:
     shifted = rows - rows.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -69,9 +63,9 @@ def search(model: EncoderDecoderModel, srcs: list[list[int]], beam_size: int,
 
     Every step, each source keeps its beam_size best (row, token) candidates,
     ranked by raw log-probability with ties to the lexicographically smallest
-    ids. A source's rows all have the same length, so that is the rank of the
-    parent's ids, then the token. The length penalty picks among a source's
-    finished hypotheses.
+    ids. A source's rows are kept in the order of their ids, so the candidates
+    come in that order too and one stable sort ranks them. The length penalty
+    picks among a source's finished hypotheses.
     """
     if beam_size < 1:
         raise DataError(f"beam_size must be >= 1, got {beam_size}")
@@ -96,21 +90,20 @@ def _search_chunk(model: EncoderDecoderModel, srcs: list[list[int]], beam_size: 
     logprob = np.zeros(len(srcs))
     completed: list[list[BeamHypothesis]] = [[] for _ in srcs]
     for step in range(1, max_len + 1):
-        logp = _log_softmax(_step_logits(model, ids[:, -1], memory, src_real, cache))
+        logits = model.decode_logits(ids[:, -1:], memory, src_real, cache=cache)
+        logp = _log_softmax(logits.data[:, -1])
         logp[:, list(BANNED_GENERATION_IDS)] = -np.inf
         scores = logprob[:, None] + logp
         # a candidate below its row's beam_size-th best score cannot make its
         # source's beam; partitioning keeps the ties at that score
         nth = max(scores.shape[1] - beam_size, 0)
         floor = np.partition(scores, nth, axis=1)[:, nth, None]
-        row, token = np.nonzero((scores >= floor) & (scores != -np.inf))
+        row, token = np.nonzero((scores >= floor) & (scores != -np.inf))  # in prefix order
         cand = scores[row, token]
-        parent_rank = np.empty(len(ids), dtype=np.int64)
-        parent_rank[np.lexsort(ids.T[::-1])] = np.arange(len(ids))
         of_source = source[row]
-        order = np.lexsort((token, parent_rank[row], -cand, of_source))
+        order = np.lexsort((-cand, of_source))  # stable: ties stay in prefix order
         ranked = of_source[order]
-        order = order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < beam_size]
+        order = np.sort(order[np.arange(len(order)) - np.searchsorted(ranked, ranked) < beam_size])
         row, token, cand = row[order], token[order], cand[order]
 
         finished = (token == EOS) | (step == max_len)

@@ -20,6 +20,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import signal
 import statistics
 import sys
 import time
@@ -422,6 +423,14 @@ def _pool_size(tasks: int) -> int:
     return max(1, min(cores, tasks))
 
 
+def _init_worker() -> None:
+    """Ctrl-C reaches the whole process group, and the parent alone acts on
+    it; SIGTERM, which the parent sends to stop a worker, ends it even where
+    the worker inherited a handler for it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _start(pool, fn, *args):
     """A future of fn(*args), run by a worker of `pool`.
 
@@ -468,8 +477,10 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     futures, broken = {}, None
     # forked workers start without importing numpy again; a fork pool starts
     # them all at the first submit, before its own thread (CPython 3.11)
-    with ProcessPoolExecutor(_pool_size(len(cells) + bool(warm)),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
+    pool = ProcessPoolExecutor(_pool_size(len(cells) + bool(warm)),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker)
+    try:
         try:
             # pretraining first; the cells that need no encoder run meanwhile
             encoder = _start(pool, _prepare_encoder, cfg, out, model_cfg, splits,
@@ -484,9 +495,15 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
                                                  model_cfg, encoder_ckpt, splits, vocab)
         except BrokenProcessPool as e:  # a worker died: the cells not started fail too
             broken = e
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # and wait for the running cells
-            raise
+        pool.shutdown()  # wait for the running cells
+    except BaseException:  # an error, Ctrl-C or SIGTERM: stop now; a rerun resumes
+        pool.shutdown(wait=False, cancel_futures=True)
+        workers = multiprocessing.active_children()
+        for worker in workers:
+            worker.terminate()
+        for worker in workers:
+            worker.join()
+        raise
 
     table = ResultsTable()
     for mode, seed in cells:

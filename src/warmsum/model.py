@@ -293,7 +293,8 @@ class EncoderDecoderModel(_Model):
                                "cached keys and values carry no graph")
         if cache.cross_mask is None:
             cache.cross_mask = _key_mask(src_real)
-        causal = _causal_mask(tgt_ids.shape[1], cache.length)
+        # one new position sees every cached key, so it needs no causal mask
+        causal = _causal_mask(tgt_ids.shape[1], cache.length) if tgt_ids.shape[1] > 1 else None
         x = self._embed("decoder", tgt_ids, cache.length)
         for i in range(self.config.n_dec_layers):
             base = f"decoder.layer.{i}"

@@ -4,8 +4,10 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -345,6 +347,89 @@ def test_a_dead_worker_fails_its_cells_not_the_run(tmp_path, monkeypatch, stage)
         error = (out / "cells" / f"{mode}_s{seed}" / "error.txt").read_text()
         assert error.startswith(f"cell {mode} seed {seed}\n") and "BrokenProcessPool" in error
     assert (out / "results.txt").read_text() == table.render_text()
+
+
+# `warmsum run --config cfg.json` on two workers, with every cell's assembly
+# slowed by a minute; a cell announces its start with a file in `started/`
+_SLOW_RUN = """
+import os, sys, time
+from pathlib import Path
+import warmsum.experiment as experiment
+from warmsum.cli import main
+
+pool_size, assemble = experiment._pool_size, experiment.assemble
+
+def slow_assemble(*args, **kwargs):
+    Path("started", str(os.getpid())).touch()
+    time.sleep(60)
+    return assemble(*args, **kwargs)
+
+Path("started").mkdir()
+experiment._pool_size = lambda tasks: min(2, pool_size(tasks))
+experiment.assemble = slow_assemble
+sys.exit(main(["run", "--config", "cfg.json"]))
+"""
+
+
+def _warmsum_env():
+    src = Path(experiment.__file__).resolve().parent.parent
+    return {**os.environ, "PYTHONPATH": str(src)}
+
+
+def _interrupt_a_run(run_dir, send):
+    """Start the slowed run in its own session, call send(pid) once both
+    workers run a cell, and return its exit status; no process of the session
+    may outlive it."""
+    run_dir.mkdir()
+    (run_dir / "cfg.json").write_text(config_to_json(tiny_config("runs")), encoding="utf-8")
+    with open(run_dir / "stderr.txt", "wb") as stderr:
+        proc = subprocess.Popen([sys.executable, "-c", _SLOW_RUN], cwd=run_dir,
+                                env=_warmsum_env(), start_new_session=True, stderr=stderr)
+    try:
+        deadline = time.monotonic() + 120
+        # two cells started: pretraining is done, and the parent waits on the pool
+        while len(list((run_dir / "started").glob("*"))) < 2:
+            assert proc.poll() is None, (run_dir / "stderr.txt").read_text()
+            assert time.monotonic() < deadline, "no cell started"
+            time.sleep(0.1)
+        send(proc.pid)
+        status = proc.wait(timeout=30)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        return status
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+@pytest.mark.slow
+def test_ctrl_c_stops_a_pooled_run_and_a_rerun_resumes(tmp_path):
+    run_dir = tmp_path / "interrupted"
+    status = _interrupt_a_run(run_dir, lambda pid: os.killpg(pid, signal.SIGINT))
+    assert status == -signal.SIGINT
+    assert not (run_dir / "runs" / "results.txt").exists()
+    encoder = (run_dir / "runs" / "encoder_mlm.ckpt").stat().st_mtime_ns
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    (fresh / "cfg.json").write_bytes((run_dir / "cfg.json").read_bytes())
+    for cwd in (run_dir, fresh):
+        proc = subprocess.run([sys.executable, "-m", "warmsum", "run", "--config", "cfg.json"],
+                              cwd=cwd, env=_warmsum_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    results = (fresh / "runs" / "results.txt").read_text()
+    assert (run_dir / "runs" / "results.txt").read_text() == results
+    assert "FAILED" not in results
+    assert (run_dir / "runs" / "encoder_mlm.ckpt").stat().st_mtime_ns == encoder  # reused
+
+
+@pytest.mark.slow
+def test_sigterm_to_the_parent_stops_its_workers(tmp_path):
+    status = _interrupt_a_run(tmp_path / "run", lambda pid: os.kill(pid, signal.SIGTERM))
+    assert status == 128 + signal.SIGTERM
 
 
 def test_a_pretraining_error_still_exits_2(tmp_path, capsys):
