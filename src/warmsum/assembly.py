@@ -144,31 +144,6 @@ def assemble(encoder_ckpt: Checkpoint | None, mode: AssemblyMode,
     return Checkpoint(config, "encoder_decoder", params, vocab_ref, provenance)
 
 
-def structural_diff(assembled: Checkpoint, source: Checkpoint) -> dict[str, list[str]]:
-    """Classify assembled tensors as copied from / fresh relative to a source.
-
-    Copy candidates follow the canonical name mapping (encoder names map to
-    themselves, decoder names to the matching encoder layer); comparison is
-    by exact array equality, independent of how the checkpoint was built.
-    Names with no source analogue (the cross-attention groups) are fresh by
-    definition; "unmapped" flags anomalies where a mapped source tensor is
-    missing.
-    """
-    mapping = warm_copy_map(assembled.config, AssemblyMode.WARM2WARM)
-    copied, fresh, unmapped = [], [], []
-    for name in sorted(assembled.params):
-        src_name = mapping.get(name)
-        if src_name is None:
-            fresh.append(name)
-        elif src_name not in source.params:
-            unmapped.append(name)
-        elif np.array_equal(assembled.params[name], source.params[src_name]):
-            copied.append(name)
-        else:
-            fresh.append(name)
-    return {"copied": copied, "fresh": fresh, "unmapped": unmapped}
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

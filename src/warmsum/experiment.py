@@ -2,17 +2,19 @@
 
 One experiment chains tokenizer training, MLM pretraining, checkpoint
 assembly, fine-tuning, decoding and ROUGE scoring into a comparison table
-over (assembly mode, seed) cells. Every intermediate artifact is persisted
-under the output directory, cells resume from their persisted scores, and
-the final table is byte-identical across reruns of the same config.
+over (assembly mode, seed) cells. Each stage writes its artifact under the
+output directory unless it is there, and later stages read it back, on a
+fresh run as on a resumed one; the table is byte-identical across reruns.
 
 Pretraining and the cells run in a pool of forked worker processes, one per
 usable core: the RND2RND cells, which need no encoder, run while the encoder
-pretrains, and the warm cells start once it is done.
+pretrains, and the warm cells start once it is done. A stage cut short by a
+dead worker runs again alone.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -26,7 +28,7 @@ import sys
 import time
 import traceback
 import typing
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -270,25 +272,23 @@ def _prepare_splits(cfg: ExperimentConfig, out: Path) -> dict[str, list]:
     data_dir.mkdir(parents=True, exist_ok=True)
     names = ("train", "dev", "test")
     paths = {n: data_dir / f"{n}.jsonl" for n in names}
-    if all(p.exists() for p in paths.values()):
-        return {n: corpus_mod.load_jsonl(paths[n]) for n in names}
-    if cfg.corpus.path:
-        examples = corpus_mod.load_jsonl(cfg.corpus.path)
-    else:
-        examples = generate_corpus(cfg.corpus.synthetic)
-    splits = corpus_mod.split(examples, cfg.corpus.ratios, cfg.corpus.split_seed)
-    for n in names:
-        corpus_mod.save_jsonl(splits[n], paths[n])
-    return splits
+    if not all(p.exists() for p in paths.values()):
+        if cfg.corpus.path:
+            examples = corpus_mod.load_jsonl(cfg.corpus.path)
+        else:
+            examples = generate_corpus(cfg.corpus.synthetic)
+        splits = corpus_mod.split(examples, cfg.corpus.ratios, cfg.corpus.split_seed)
+        for n in names:
+            corpus_mod.save_jsonl(splits[n], paths[n])
+    return {n: corpus_mod.load_jsonl(paths[n]) for n in names}
 
 
 def _prepare_vocab(cfg: ExperimentConfig, out: Path, train_split) -> tok.Vocabulary:
     vocab_path = out / "vocab.txt"
-    if vocab_path.exists():
-        return tok.load_vocab(vocab_path)
-    vocab = tok.train_bpe(tokenizer_lines(train_split), cfg.tokenizer.target_vocab_size)
-    tok.save_vocab(vocab, vocab_path)
-    return vocab
+    if not vocab_path.exists():
+        vocab = tok.train_bpe(tokenizer_lines(train_split), cfg.tokenizer.target_vocab_size)
+        tok.save_vocab(vocab, vocab_path)
+    return tok.load_vocab(vocab_path)
 
 
 def tokenizer_lines(examples) -> list[str]:
@@ -320,17 +320,16 @@ def _write_timings(directory: Path, timings: dict) -> None:
 
 
 def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
-                     splits, vocab: tok.Vocabulary):
+                     splits, vocab: tok.Vocabulary) -> None:
     enc_path = out / "encoder_mlm.ckpt"
     timings = {}
-    if enc_path.exists():
-        ckpt = load_checkpoint(enc_path)
-    else:
+    if not enc_path.exists():
         with _timed(timings, "pretrain"):
             ckpt = pretrain_mlm(pretraining_lines(splits["train"]), vocab, model_cfg,
                                 cfg.pretrain, MetricsLog(out / "pretrain_metrics.csv"))
             ckpt.vocab_ref = "vocab.txt"
             save_checkpoint(ckpt, enc_path)
+    ckpt = load_checkpoint(enc_path)
     quality_path = out / _QUALITY_FILE
     if not quality_path.exists():
         with _timed(timings, "encoder_quality"):
@@ -344,7 +343,6 @@ def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
                        "unigram_entropy": entropy}
             write_atomic(quality_path, json.dumps(quality, indent=2, sort_keys=True) + "\n")
     _write_timings(out, timings)
-    return ckpt
 
 
 def _decode_test(cfg: ExperimentConfig, model_ckpt, bodies: list[str],
@@ -373,16 +371,19 @@ def _read_scores(path: Path, mode: str, seed: int) -> CellResult:
 
 
 def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
-              model_cfg: ModelConfig, encoder_ckpt, splits, vocab) -> CellResult:
+              model_cfg: ModelConfig, splits, vocab) -> None:
+    """Run one cell unless its scores.json exists; that file is its result."""
     cell = out / "cells" / f"{mode}_s{seed}"
     cell.mkdir(parents=True, exist_ok=True)
     scores_path = cell / "scores.json"
     if scores_path.exists():
-        return _read_scores(scores_path, mode, seed)
+        return
 
     timings = {}
     with _timed(timings, "assemble"):
-        assembled = assemble(encoder_ckpt, AssemblyMode(mode), model_cfg, seed,
+        encoder = None if mode == AssemblyMode.RND2RND.value else \
+            load_checkpoint(out / "encoder_mlm.ckpt")
+        assembled = assemble(encoder, AssemblyMode(mode), model_cfg, seed,
                              vocab_ref="vocab.txt")
         save_checkpoint(assembled, cell / "assembled.ckpt")
 
@@ -409,8 +410,6 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
             record[key] = {"precision": sc.precision, "recall": sc.recall, "f1": sc.f1}
     _write_timings(cell, timings)
     write_atomic(scores_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return CellResult(mode, seed, scores["rouge1"].f1 * 100,
-                      scores["rouge2"].f1 * 100, scores["rougeL"].f1 * 100)
 
 
 def _pool_size(tasks: int) -> int:
@@ -423,12 +422,17 @@ def _pool_size(tasks: int) -> int:
     return max(1, min(cores, tasks))
 
 
-def _init_worker() -> None:
+def _init_worker(parent: int) -> None:
     """Ctrl-C reaches the whole process group, and the parent alone acts on
     it; SIGTERM, which the parent sends to stop a worker, ends it even where
-    the worker inherited a handler for it."""
+    the worker inherited a handler for it, and the kernel sends it when the
+    parent dies, even by SIGKILL, where the C library has `prctl`."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    with suppress(OSError, TypeError, AttributeError):  # no C library handle, or no prctl
+        ctypes.CDLL(None).prctl(1, int(signal.SIGTERM))  # PR_SET_PDEATHSIG
+    if os.getppid() != parent:  # the parent died before the request
+        os._exit(1)
 
 
 def _start(pool, fn, *args):
@@ -452,6 +456,9 @@ def _start(pool, fn, *args):
     return pool.submit(fn, *args)
 
 
+_ENCODER = "encoder"  # pretraining, a stage beside the (mode, seed) cells
+
+
 def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     # imported here, so that processes which never run an experiment (the
     # staged CLI, decoding) do not hold the pool's modules
@@ -473,29 +480,41 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     model_cfg = cfg.model.to_model_config(vocab.size)
     cells = [(mode, seed) for mode in cfg.modes for seed in cfg.seeds]
     warm = [c for c in cells if c[0] != AssemblyMode.RND2RND.value]
+    # pretraining first; the cells that need no encoder run meanwhile
+    stages = [_ENCODER] * bool(warm) + [c for c in cells if c not in warm] + warm
+    futures = {}  # a stage's future carries only its error; its result is its file
 
-    futures, broken = {}, None
-    # forked workers start without importing numpy again; a fork pool starts
-    # them all at the first submit, before its own thread (CPython 3.11)
-    pool = ProcessPoolExecutor(_pool_size(len(cells) + bool(warm)),
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker)
+    def submit(pool, stage):
+        if stage in warm:
+            futures[_ENCODER].result()  # a pretraining error propagates
+        fn, args = (_prepare_encoder, ()) if stage == _ENCODER else (_run_cell, stage)
+        futures[stage] = _start(pool, fn, cfg, out, *args, model_cfg, splits, vocab)
+
+    def cut_short(stage):  # by a dead worker, or kept from starting
+        return stage not in futures or isinstance(futures[stage].exception(), BrokenProcessPool)
+
+    def new_pool(workers):
+        # forked workers start without importing numpy again; a fork pool forks
+        # them all at the first submit, from this thread (CPython 3.11), whose
+        # end is the parent's death that PR_SET_PDEATHSIG watches
+        return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_init_worker, initargs=(os.getpid(),))
+
+    pool = new_pool(_pool_size(len(stages)))
     try:
-        try:
-            # pretraining first; the cells that need no encoder run meanwhile
-            encoder = _start(pool, _prepare_encoder, cfg, out, model_cfg, splits,
-                             vocab) if warm else None
-            for mode, seed in (c for c in cells if c not in warm):
-                futures[mode, seed] = _start(pool, _run_cell, cfg, out, mode, seed,
-                                             model_cfg, None, splits, vocab)
-            if encoder is not None:
-                encoder_ckpt = encoder.result()  # a pretraining error propagates
-                for mode, seed in warm:
-                    futures[mode, seed] = _start(pool, _run_cell, cfg, out, mode, seed,
-                                                 model_cfg, encoder_ckpt, splits, vocab)
-        except BrokenProcessPool as e:  # a worker died: the cells not started fail too
-            broken = e
-        pool.shutdown()  # wait for the running cells
+        with suppress(BrokenProcessPool):  # a worker died
+            for stage in stages:
+                submit(pool, stage)
+        pool.shutdown()  # wait for the running stages
+        # what a dead worker cut short runs again alone, one stage at a time,
+        # so only a stage that kills its own worker fails
+        for stage in filter(cut_short, stages):
+            pool = new_pool(1)
+            try:
+                submit(pool, stage)
+            except BrokenProcessPool:  # pretraining killed its own worker
+                futures[stage] = futures[_ENCODER]
+            pool.shutdown()
     except BaseException:  # an error, Ctrl-C or SIGTERM: stop now; a rerun resumes
         pool.shutdown(wait=False, cancel_futures=True)
         workers = multiprocessing.active_children()
@@ -505,26 +524,27 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
             worker.join()
         raise
 
-    table = ResultsTable()
+    errors = {}
     for mode, seed in cells:
         try:
-            if (mode, seed) not in futures:
-                raise broken
-            table.rows.append(futures[mode, seed].result())
+            futures[mode, seed].result()
         except Exception as e:  # record the diagnostic, keep other cells going
             cell = out / "cells" / f"{mode}_s{seed}"
             cell.mkdir(parents=True, exist_ok=True)
             (cell / "error.txt").write_text(f"cell {mode} seed {seed}\n"
                                             + traceback.format_exc(), encoding="utf-8")
-            table.failures.append((mode, seed, f"{type(e).__name__}: {e}"))
+            errors[mode, seed] = f"{type(e).__name__}: {e}"
 
+    table = load_results(out)
+    table.failures = [(mode, seed, errors.get((mode, seed), message))
+                      for mode, seed, message in table.failures]
     write_atomic(out / "results.txt", table.render_text())
     write_atomic(out / "results.csv", table.to_csv())
     return table
 
 
 def load_results(output_dir) -> ResultsTable:
-    """Rebuild the table from persisted per-cell scores without recomputing."""
+    """The table of the cells' scores.json files, as `run` and `report` show it."""
     out = Path(output_dir)
     cfg = load_config(out / "config.json")
     table = ResultsTable()

@@ -146,7 +146,7 @@ class DecoderCache:
     positions of each row. The first call projects every layer's
     cross-attention keys and values from the encoder memory and keeps the
     source mask; later calls reuse them and ignore `memory` and
-    `src_pad_mask`. Self-attention entries grow by the positions of each call.
+    `src_real`. Self-attention entries grow by the positions of each call.
     A caller's cache is for inference only: cached arrays carry no graph, so
     passing one while a tape is active raises.
     """
@@ -263,14 +263,14 @@ class EncoderDecoderModel(_Model):
         src_ids = np.asarray(src_ids, dtype=np.int64)
         return self._encoder_stack(src_ids, src_ids != PAD)
 
-    def decode_logits(self, tgt_ids: np.ndarray, memory: T.Tensor, src_pad_mask: np.ndarray,
+    def decode_logits(self, tgt_ids: np.ndarray, memory: T.Tensor, src_real: np.ndarray,
                       cache: DecoderCache | None = None) -> T.Tensor:
         """Logits [B, L, V] for the positions of tgt_ids, the positions after
         those already in `cache`; the cache grows by them. Without a cache
         tgt_ids is the whole prefix.
         """
         tgt_ids = np.asarray(tgt_ids, dtype=np.int64)
-        h = self._decoder_stack(tgt_ids, memory, np.asarray(src_pad_mask), cache)
+        h = self._decoder_stack(tgt_ids, memory, np.asarray(src_real), cache)
         return T.matmul(h, T.transpose(self.output_matrix))
 
     def forward_loss(self, src_ids: np.ndarray, tgt_ids: np.ndarray) -> T.Tensor:

@@ -311,11 +311,14 @@ SCORES = ('{"mode": "RND2RND", "seed": 1, "rouge1": {"f1": 0.5}, "rouge2": {"f1"
           '"rougeL": {"f1": 0.5}}')
 
 
-def test_report_with_truncated_scores_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["report", "run"])
+def test_report_with_truncated_scores_exits_2(tmp_path, capsys, command):
     out, scores = _run_dir_with_scores(tmp_path, SCORES[:40])
-    assert main(["report", "--dir", str(out)]) == 2
+    where = ["--dir", out] if command == "report" else ["--config", out / "config.json"]
+    assert main([command, *map(str, where)]) == 2
     err = capsys.readouterr().err
     assert f"{scores}: malformed scores (JSONDecodeError" in err
+    assert not (out / "results.txt").exists()
 
 
 def test_report_with_scores_missing_rouge1_exits_2(tmp_path, capsys):

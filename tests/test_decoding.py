@@ -45,11 +45,11 @@ class ScriptedModel:
     def eval(self):
         return self
 
-    def encode(self, src_ids, src_pad_mask=None):
+    def encode(self, src_ids):
         b, l = np.asarray(src_ids).shape
         return T.Tensor(np.zeros((b, l, self.config.d_model)))
 
-    def decode_logits(self, tgt_ids, memory, src_pad_mask, cache=None):
+    def decode_logits(self, tgt_ids, memory, src_real, cache=None):
         tgt_ids = np.asarray(tgt_ids)
         b, l = tgt_ids.shape
         out = np.zeros((b, l, self.vocab_size))

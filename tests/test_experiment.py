@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -339,7 +340,7 @@ def test_a_dead_worker_fails_its_cells_not_the_run(tmp_path, monkeypatch, stage)
     table = run_experiment(cfg)
     assert multiprocessing.active_children() == []
     failed = {(mode, seed) for mode, seed, _ in table.failures}
-    assert dead <= failed  # and the cells its death cut short
+    assert failed == dead  # the cells its death cut short ran again
     assert sorted(failed | {(r.mode, r.seed) for r in table.rows}) == \
         sorted((m, s) for m in cfg.modes for s in cfg.seeds)
     for mode, seed, message in table.failures:
@@ -376,10 +377,10 @@ def _warmsum_env():
     return {**os.environ, "PYTHONPATH": str(src)}
 
 
-def _interrupt_a_run(run_dir, send):
-    """Start the slowed run in its own session, call send(pid) once both
-    workers run a cell, and return its exit status; no process of the session
-    may outlive it."""
+@contextmanager
+def _slow_run(run_dir):
+    """Start the slowed run in its own session and yield it once both workers
+    run a cell; every process of the session is killed on the way out."""
     run_dir.mkdir()
     (run_dir / "cfg.json").write_text(config_to_json(tiny_config("runs")), encoding="utf-8")
     with open(run_dir / "stderr.txt", "wb") as stderr:
@@ -392,17 +393,24 @@ def _interrupt_a_run(run_dir, send):
             assert proc.poll() is None, (run_dir / "stderr.txt").read_text()
             assert time.monotonic() < deadline, "no cell started"
             time.sleep(0.1)
-        send(proc.pid)
-        status = proc.wait(timeout=30)
-        with pytest.raises(ProcessLookupError):
-            os.killpg(proc.pid, 0)
-        return status
+        yield proc
     finally:
         try:
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
         proc.wait()
+
+
+def _interrupt_a_run(run_dir, send):
+    """Call send(pid) once the slowed run's workers run a cell, and return its
+    exit status; no process of the session may outlive it."""
+    with _slow_run(run_dir) as proc:
+        send(proc.pid)
+        status = proc.wait(timeout=30)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        return status
 
 
 @pytest.mark.slow
@@ -430,6 +438,30 @@ def test_ctrl_c_stops_a_pooled_run_and_a_rerun_resumes(tmp_path):
 def test_sigterm_to_the_parent_stops_its_workers(tmp_path):
     status = _interrupt_a_run(tmp_path / "run", lambda pid: os.kill(pid, signal.SIGTERM))
     assert status == 128 + signal.SIGTERM
+
+
+def _running(pid):
+    """Whether process `pid` exists and has not ended; a zombie has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except (FileNotFoundError, ProcessLookupError):  # reaped, or reaped while read
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # the state follows the name
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="parent-death signals are Linux's")
+def test_sigkill_to_the_parent_ends_its_workers(tmp_path):
+    run_dir = tmp_path / "run"
+    with _slow_run(run_dir) as proc:
+        workers = [int(p.name) for p in (run_dir / "started").iterdir()]
+        proc.kill()
+        proc.wait()
+        # reparented, an ended worker stays a zombie until its new parent reaps it
+        deadline = time.monotonic() + 10
+        while running := [pid for pid in workers if _running(pid)]:
+            assert time.monotonic() < deadline, f"workers {running} outlived their parent"
+            time.sleep(0.1)
 
 
 def test_a_pretraining_error_still_exits_2(tmp_path, capsys):
