@@ -166,11 +166,10 @@ def _cmd_run(args) -> int:
     # SIGTERM unwinds the run as Ctrl-C does, so its workers stop with it
     previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
-        table = run_experiment(cfg)
+        run_experiment(cfg)
     finally:
         signal.signal(signal.SIGTERM, previous)
-    sys.stdout.write(table.render_text())
-    return 0
+    return _cmd_report(argparse.Namespace(dir=cfg.output_dir))  # what `report` prints
 
 
 def _cmd_report(args) -> int:

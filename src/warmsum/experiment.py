@@ -9,7 +9,9 @@ fresh run as on a resumed one; the table is byte-identical across reruns.
 Pretraining and the cells run in a pool of forked worker processes, one per
 usable core: the RND2RND cells, which need no encoder, run while the encoder
 pretrains, and the warm cells start once it is done. A stage cut short by a
-dead worker runs again alone.
+dead worker runs again alone. Stages that a profiler replaced by closures
+cannot be sent to a worker; they run in one thread of this process instead.
+A failed cell's error.txt, written here, is the one record of how it ended.
 """
 
 from __future__ import annotations
@@ -307,7 +309,11 @@ _QUALITY_FILE = "encoder_quality.json"
 @contextmanager
 def _timed(timings: dict, phase: str):
     start = time.perf_counter()
-    yield
+    try:
+        yield
+    except BaseException as e:  # the traceback in error.txt names the phase
+        e.add_note(f"in phase {phase}")
+        raise
     timings[f"{phase}_s"] = time.perf_counter() - start
 
 
@@ -375,6 +381,7 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
     """Run one cell unless its scores.json exists; that file is its result."""
     cell = out / "cells" / f"{mode}_s{seed}"
     cell.mkdir(parents=True, exist_ok=True)
+    (cell / "error.txt").unlink(missing_ok=True)  # an earlier run's failure
     scores_path = cell / "scores.json"
     if scores_path.exists():
         return
@@ -430,30 +437,12 @@ def _init_worker(parent: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     with suppress(OSError, TypeError, AttributeError):  # no C library handle, or no prctl
-        ctypes.CDLL(None).prctl(1, int(signal.SIGTERM))  # PR_SET_PDEATHSIG
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(1, signal.SIGTERM)  # PR_SET_PDEATHSIG
     if os.getppid() != parent:  # the parent died before the request
         os._exit(1)
-
-
-def _start(pool, fn, *args):
-    """A future of fn(*args), run by a worker of `pool`.
-
-    A function that pickle cannot name, such as a closure that a profiler
-    installed in place of a stage, cannot be sent to a worker. It runs here and
-    now, so the process that wrapped it sees its calls, in the order of a serial
-    run.
-    """
-    try:
-        pickle.dumps(fn)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        from concurrent.futures import Future
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as e:
-            future.set_exception(e)
-        return future
-    return pool.submit(fn, *args)
 
 
 _ENCODER = "encoder"  # pretraining, a stage beside the (mode, seed) cells
@@ -462,7 +451,7 @@ _ENCODER = "encoder"  # pretraining, a stage beside the (mode, seed) cells
 def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     # imported here, so that processes which never run an experiment (the
     # staged CLI, decoding) do not hold the pool's modules
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     out = Path(cfg.output_dir)
@@ -488,12 +477,20 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
         if stage in warm:
             futures[_ENCODER].result()  # a pretraining error propagates
         fn, args = (_prepare_encoder, ()) if stage == _ENCODER else (_run_cell, stage)
-        futures[stage] = _start(pool, fn, cfg, out, *args, model_cfg, splits, vocab)
+        futures[stage] = pool.submit(fn, cfg, out, *args, model_cfg, splits, vocab)
 
     def cut_short(stage):  # by a dead worker, or kept from starting
         return stage not in futures or isinstance(futures[stage].exception(), BrokenProcessPool)
 
+    try:  # a stage that a profiler replaced by a closure cannot go to a worker
+        pickle.dumps((_prepare_encoder, _run_cell))
+        forked = True
+    except (pickle.PicklingError, AttributeError, TypeError):
+        forked = False
+
     def new_pool(workers):
+        if not forked:  # one thread of this process, so the profiler sees a serial run
+            return ThreadPoolExecutor(1)
         # forked workers start without importing numpy again; a fork pool forks
         # them all at the first submit, from this thread (CPython 3.11), whose
         # end is the parent's death that PR_SET_PDEATHSIG watches
@@ -524,20 +521,17 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
             worker.join()
         raise
 
-    errors = {}
     for mode, seed in cells:
         try:
             futures[mode, seed].result()
         except Exception as e:  # record the diagnostic, keep other cells going
             cell = out / "cells" / f"{mode}_s{seed}"
             cell.mkdir(parents=True, exist_ok=True)
-            (cell / "error.txt").write_text(f"cell {mode} seed {seed}\n"
-                                            + traceback.format_exc(), encoding="utf-8")
-            errors[mode, seed] = f"{type(e).__name__}: {e}"
+            message = f"{type(e).__name__}: {e}".splitlines()[0]  # the table's row
+            write_atomic(cell / "error.txt", f"cell {mode} seed {seed}\n{message}\n"
+                         + traceback.format_exc())
 
     table = load_results(out)
-    table.failures = [(mode, seed, errors.get((mode, seed), message))
-                      for mode, seed, message in table.failures]
     write_atomic(out / "results.txt", table.render_text())
     write_atomic(out / "results.csv", table.to_csv())
     return table
@@ -551,10 +545,14 @@ def load_results(output_dir) -> ResultsTable:
     for mode in cfg.modes:
         for seed in cfg.seeds:
             scores_path = out / "cells" / f"{mode}_s{seed}" / "scores.json"
-            if not scores_path.exists():
-                table.failures.append((mode, seed, "no scores.json recorded"))
+            if scores_path.exists():
+                table.rows.append(_read_scores(scores_path, mode, seed))
                 continue
-            table.rows.append(_read_scores(scores_path, mode, seed))
+            error = scores_path.with_name("error.txt")  # a failed cell's row is its line 2
+            lines = error.read_text(encoding="utf-8", errors="replace").splitlines() \
+                if error.exists() else []
+            table.failures.append((mode, seed, lines[1] if len(lines) > 1
+                                   else "no scores.json recorded"))
     return table
 
 

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR
+from warmsum.assembly import load_checkpoint
 from warmsum.cli import build_parser, main
 from warmsum.corpus import load_jsonl
-from warmsum.experiment import ExperimentConfig, config_to_json, config_from_json
+from warmsum.experiment import (ExperimentConfig, config_from_json, config_to_json,
+                                encoder_quality_text)
 
 from test_experiment import tiny_config
 
@@ -123,10 +125,20 @@ def test_cli_pipeline_end_to_end(tmp_path, monkeypatch):
     out = tmp_path / "runs"
     cfg = dataclasses.replace(tiny_config(out, modes=("WARM2WARM",), seeds=(1,)),
                               dev_eval_limit=4)  # below the 12-example dev split
+    # with 800 MLM steps, not 60, the encoder learns, so the warm cell starts from it
+    cfg = dataclasses.replace(cfg, pretrain=dataclasses.replace(cfg.pretrain,
+                                                                total_steps=800))
     cfg_path = str(tmp_path / "cfg.json")
     Path(cfg_path).write_text(config_to_json(cfg), encoding="utf-8")
     assert main(["run", "--config", cfg_path]) == 0
     data, cell = out / "data", out / "cells" / "WARM2WARM_s1"
+    quality = json.loads((out / "encoder_quality.json").read_text(encoding="utf-8"))
+    assert quality["mlm_dev_loss"] < quality["unigram_entropy"]
+    # best.ckpt is not the first evaluation's, so its bytes cover later steps too
+    dev_steps = [int(line.split(",")[0]) for line in
+                 (cell / "metrics.csv").read_text(encoding="utf-8").splitlines()
+                 if line.split(",")[1] == "dev"]
+    assert load_checkpoint(cell / "best.ckpt").provenance["best_step"] > dev_steps[0]
 
     stages = tmp_path / "stages"
     stages.mkdir()
@@ -158,7 +170,7 @@ def test_cli_pipeline_end_to_end(tmp_path, monkeypatch):
 @pytest.mark.slow
 def test_cli_run_and_report(tmp_path):
     out = tmp_path / "runs"
-    cfg = tiny_config(out, modes=("RND2RND",), seeds=(1,))
+    cfg = tiny_config(out, modes=("WARM2WARM",), seeds=(1,))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(config_to_json(cfg), encoding="utf-8")
     code, run_out, err = run_cli("run", "--config", cfg_path)
@@ -166,7 +178,10 @@ def test_cli_run_and_report(tmp_path):
     code, report_out, err = run_cli("report", "--dir", out)
     assert code == 0, err
     assert report_out == run_out
-    assert (out / "results.txt").read_text(encoding="utf-8") == report_out
+    # the table as results.txt holds it, then the encoder's quality
+    quality = encoder_quality_text(out)
+    assert quality.startswith("MLM encoder: ")
+    assert report_out == (out / "results.txt").read_text(encoding="utf-8") + quality
 
 
 # -- malformed inputs are data errors (exit 2), not tracebacks ---------------------

@@ -311,13 +311,64 @@ def test_a_cell_that_raises_in_a_worker_fails_alone(tmp_path, monkeypatch):
     assert [(r.mode, r.seed) for r in table.rows] == [("RND2RND", 1), ("RND2RND", 2),
                                                        ("WARM2WARM", 1)]
     assert table.failures == [("WARM2WARM", 2, "RuntimeError: boom")]
-    error = (out / "cells" / "WARM2WARM_s2" / "error.txt").read_text()
-    # the worker's traceback, down to the raise
-    assert error.startswith("cell WARM2WARM seed 2\n") and "in _run_cell" in error
-    assert 'raise RuntimeError("boom")' in error
+    error_path = out / "cells" / "WARM2WARM_s2" / "error.txt"
+    error = error_path.read_text()
+    # the cell, the table's row, then the worker's traceback down to the raise
+    assert error.startswith("cell WARM2WARM seed 2\nRuntimeError: boom\n")
+    assert "in _run_cell" in error and 'raise RuntimeError("boom")' in error
+    assert error.endswith("\nRuntimeError: boom\nin phase assemble\n")
     results = (out / "results.txt").read_text()
     assert results == table.render_text() and "2 FAILED: RuntimeError: boom\n" in results
+    assert load_results(out).render_text() == results  # `report` reads the same row
     assert not (out / "cells" / "WARM2WARM_s1" / "error.txt").exists()
+
+    # a rerun that succeeds leaves no failure behind
+    monkeypatch.undo()
+    table = run_experiment(tiny_config(out))
+    assert not table.failures and len(table.rows) == 4
+    assert not error_path.exists()
+    assert "FAILED" not in (out / "results.txt").read_text()
+
+
+def test_a_failed_cells_row_is_line_2_of_its_error_txt(tmp_path):
+    out = tmp_path / "runs"
+    cfg = tiny_config(out, modes=("RND2RND",), seeds=(1, 2, 3, 4))
+    out.mkdir()
+    (out / "config.json").write_text(config_to_json(cfg), encoding="utf-8")
+    for seed, error in ((2, b"cell RND2RND seed 2\n"),  # no row recorded
+                        (3, b"cell RND2RND seed 3\nValueError: bad \xff byte\nTraceback"),
+                        (4, b"cell RND2RND seed 4\nTraceback (most recent call last):\n")):
+        (out / "cells" / f"RND2RND_s{seed}").mkdir(parents=True)
+        (out / "cells" / f"RND2RND_s{seed}" / "error.txt").write_bytes(error)
+    assert load_results(out).failures == [
+        ("RND2RND", 1, "no scores.json recorded"), ("RND2RND", 2, "no scores.json recorded"),
+        ("RND2RND", 3, "ValueError: bad \ufffd byte"),
+        ("RND2RND", 4, "Traceback (most recent call last):")]  # an older run's file
+
+
+@pytest.mark.slow
+def test_stages_that_cannot_be_pickled_run_in_this_process_in_serial_order(tmp_path,
+                                                                          monkeypatch):
+    plain = tmp_path / "plain"
+    run_experiment(tiny_config(plain))
+    calls = []
+
+    def wrap(fn):  # a closure, as a profiler installs it
+        def wrapped(cfg, out, *args):
+            calls.append((os.getpid(), fn.__name__, *args[:-3]))
+            return fn(cfg, out, *args)
+        return wrapped
+
+    for name in ("_prepare_encoder", "_run_cell"):
+        monkeypatch.setattr(experiment, name, wrap(getattr(experiment, name)))
+    wrapped = tmp_path / "wrapped"
+    run_experiment(tiny_config(wrapped))
+    assert multiprocessing.active_children() == []
+    pid = os.getpid()
+    assert calls == [(pid, "_prepare_encoder"),
+                     (pid, "_run_cell", "RND2RND", 1), (pid, "_run_cell", "RND2RND", 2),
+                     (pid, "_run_cell", "WARM2WARM", 1), (pid, "_run_cell", "WARM2WARM", 2)]
+    assert (wrapped / "results.txt").read_bytes() == (plain / "results.txt").read_bytes()
 
 
 @pytest.mark.slow
