@@ -1,12 +1,13 @@
 """Checkpoint surgery and serialization.
 
-Assembly builds a seq2seq checkpoint from an encoder-only one:
+Assembly builds a seq2seq checkpoint from an encoder-only one. A mode is the
+set of name prefixes it copies from the encoder (`COPIED_PREFIXES`); a decoder
+tensor copies the encoder tensor of its own path, and every other is fresh:
 
-  RND2RND    every weight freshly initialized from the seed
-  WARM2RND   encoder copied verbatim, whole decoder fresh
-  WARM2WARM  encoder copied; decoder self-attention, feed-forward, norms and
-             embeddings copied from the matching encoder layers; only the
-             cross-attention groups (projections + their norm) are fresh
+  RND2RND    ()                        every weight fresh; no source is read
+  WARM2RND   ("encoder.",)             encoder copied verbatim, decoder fresh
+  WARM2WARM  ("encoder.", "decoder.")  decoder self-attention, feed-forward,
+             norms and embeddings copied too; cross-attention stays fresh
 
 Causality is a runtime mask, never a weight transformation, so copied
 self-attention weights are untouched. Fresh weights are truncated normal
@@ -41,6 +42,10 @@ class AssemblyMode(str, Enum):
     RND2RND = "RND2RND"
     WARM2RND = "WARM2RND"
     WARM2WARM = "WARM2WARM"
+
+
+COPIED_PREFIXES = {AssemblyMode.RND2RND: (), AssemblyMode.WARM2RND: ("encoder.",),
+                   AssemblyMode.WARM2WARM: ("encoder.", "decoder.")}
 
 
 @dataclass
@@ -86,16 +91,12 @@ def fresh_params(config: ModelConfig, kind: str, seed: int) -> dict[str, np.ndar
 
 
 def warm_copy_map(config: ModelConfig, mode: AssemblyMode) -> dict[str, str]:
-    """assembled name -> source encoder name for every copied tensor."""
-    shapes = expected_param_shapes(config, "encoder_decoder")
-    mapping = {}
-    for name in shapes:
-        if name.startswith("encoder."):
-            mapping[name] = name
-        elif mode is AssemblyMode.WARM2WARM and name.startswith("decoder.") \
-                and ".cross_attn." not in name:
-            mapping[name] = name.replace("decoder.", "encoder.", 1)
-    return mapping
+    """assembled name -> source encoder name for every tensor the mode copies;
+    cross-attention has no encoder tensor of its own path and stays fresh."""
+    return {name: "encoder." + name.split(".", 1)[1]
+            for name in expected_param_shapes(config, "encoder_decoder")
+            if name.startswith(COPIED_PREFIXES[AssemblyMode(mode)])
+            and ".cross_attn." not in name}
 
 
 def _check_source_compatible(source: Checkpoint, config: ModelConfig,
@@ -107,9 +108,8 @@ def _check_source_compatible(source: Checkpoint, config: ModelConfig,
                 f"source checkpoint incompatible: {attr} is {getattr(src, attr)}, "
                 f"target config wants {getattr(config, attr)}"
             )
-    needed = config.n_enc_layers
-    if mode is AssemblyMode.WARM2WARM:
-        needed = max(needed, config.n_dec_layers)
+    copies_decoder = "decoder." in COPIED_PREFIXES[mode]
+    needed = max(config.n_enc_layers, config.n_dec_layers if copies_decoder else 0)
     if src.n_enc_layers < needed:
         raise DataError(
             f"source encoder has {src.n_enc_layers} layers, assembly needs {needed}"
@@ -119,9 +119,9 @@ def _check_source_compatible(source: Checkpoint, config: ModelConfig,
 def assemble(encoder_ckpt: Checkpoint | None, mode: AssemblyMode,
              config: ModelConfig, seed: int, vocab_ref: str = "") -> Checkpoint:
     """Build an encoder-decoder checkpoint; deterministic in (inputs, seed).
-    RND2RND ignores `encoder_ckpt`."""
+    A mode that copies nothing ignores `encoder_ckpt`."""
     mode = AssemblyMode(mode)
-    if mode is AssemblyMode.RND2RND:
+    if not COPIED_PREFIXES[mode]:
         encoder_ckpt = None
     elif encoder_ckpt is None:
         raise DataError(f"assembly mode {mode.value} requires a source encoder checkpoint")

@@ -15,11 +15,11 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import experiment
 from . import tokenizer as tok
-from .assembly import AssemblyMode, assemble, load_checkpoint, save_checkpoint
+from .assembly import COPIED_PREFIXES, AssemblyMode, assemble, load_checkpoint, save_checkpoint
 from .errors import DataError, NumericError
 from .experiment import (ExperimentConfig, config_to_json, encoder_quality_text, load_config,
                          load_results, pretraining_lines, run_experiment, tokenizer_lines)
-from .fileio import write_atomic
+from .fileio import read_lines, write_atomic
 from .rouge import corpus_rouge, pair_rouge
 from .training import MetricsLog, finetune, pretrain_mlm
 
@@ -57,7 +57,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_assemble(args) -> int:
     mode = AssemblyMode(args.mode)
-    if mode is not AssemblyMode.RND2RND and not args.encoder:
+    if COPIED_PREFIXES[mode] and not args.encoder:
         args.usage_error(f"--encoder is required for mode {args.mode}")
     cfg = load_config(args.config)
     vocab = tok.load_vocab(args.vocab)
@@ -99,22 +99,15 @@ def _cmd_finetune(args) -> int:
 def _cmd_generate(args) -> int:
     cfg, ckpt = _config_and_checkpoint(args)
     vocab = tok.load_vocab(args.vocab)
-    outs = experiment._decode_test(cfg, ckpt, _read_lines(args.input), vocab)
+    outs = experiment._decode_test(cfg, ckpt, read_lines(args.input), vocab)
     write_atomic(args.out, "".join(out + "\n" for out in outs))
     print(f"wrote {len(outs)} summaries -> {args.out}")
     return 0
 
 
-def _read_lines(path: str) -> list[str]:
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8 ({e})") from None
-
-
 def _cmd_evaluate(args) -> int:
-    cands = _read_lines(args.candidates)
-    refs = _read_lines(args.references)
+    cands = read_lines(args.candidates)
+    refs = read_lines(args.references)
     if len(cands) != len(refs):
         raise DataError(f"candidate file has {len(cands)} lines, "
                         f"reference file has {len(refs)}")

@@ -16,7 +16,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .errors import DataError
-from .fileio import write_atomic
+from .fileio import read_lines, write_atomic
 
 _MASK64 = (1 << 64) - 1
 
@@ -68,12 +68,7 @@ def load_jsonl(path) -> list[CorpusExample]:
     """Load one JSON object per line with keys id, body, abstract."""
     examples: list[CorpusExample] = []
     seen: set[str] = set()
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw_lines = f.readlines()
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8 ({e})") from None
-    for lineno, line in enumerate(raw_lines, start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         try:

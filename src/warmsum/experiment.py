@@ -36,7 +36,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import tokenizer as tok
-from .assembly import (AssemblyMode, assemble, load_checkpoint, save_checkpoint)
+from .assembly import COPIED_PREFIXES, AssemblyMode, assemble, load_checkpoint, save_checkpoint
 from .decoding import search
 from .errors import DataError
 from .fileio import write_atomic
@@ -388,10 +388,9 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
 
     timings = {}
     with _timed(timings, "assemble"):
-        encoder = None if mode == AssemblyMode.RND2RND.value else \
-            load_checkpoint(out / "encoder_mlm.ckpt")
-        assembled = assemble(encoder, AssemblyMode(mode), model_cfg, seed,
-                             vocab_ref="vocab.txt")
+        warm = COPIED_PREFIXES[AssemblyMode(mode)]
+        encoder = load_checkpoint(out / "encoder_mlm.ckpt") if warm else None
+        assembled = assemble(encoder, AssemblyMode(mode), model_cfg, seed, vocab_ref="vocab.txt")
         save_checkpoint(assembled, cell / "assembled.ckpt")
 
     with _timed(timings, "finetune"):
@@ -468,7 +467,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     vocab = _prepare_vocab(cfg, out, splits["train"])
     model_cfg = cfg.model.to_model_config(vocab.size)
     cells = [(mode, seed) for mode in cfg.modes for seed in cfg.seeds]
-    warm = [c for c in cells if c[0] != AssemblyMode.RND2RND.value]
+    warm = [c for c in cells if COPIED_PREFIXES[AssemblyMode(c[0])]]
     # pretraining first; the cells that need no encoder run meanwhile
     stages = [_ENCODER] * bool(warm) + [c for c in cells if c not in warm] + warm
     futures = {}  # a stage's future carries only its error; its result is its file
@@ -497,6 +496,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
         return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_init_worker, initargs=(os.getpid(),))
 
+    callers = multiprocessing.active_children()  # the caller's own: not the run's to stop
     pool = new_pool(_pool_size(len(stages)))
     try:
         with suppress(BrokenProcessPool):  # a worker died
@@ -514,7 +514,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
             pool.shutdown()
     except BaseException:  # an error, Ctrl-C or SIGTERM: stop now; a rerun resumes
         pool.shutdown(wait=False, cancel_futures=True)
-        workers = multiprocessing.active_children()
+        workers = [p for p in multiprocessing.active_children() if p not in callers]
         for worker in workers:
             worker.terminate()
         for worker in workers:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import DataError
-from .fileio import write_atomic
+from .fileio import read_lines, write_atomic
 
 PAD, UNK, BOS, EOS, MASK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ["<pad>", "<unk>", "<s>", "</s>", "<mask>"]
@@ -177,13 +177,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read().split("\n")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not valid UTF-8 ({e})") from None
-    if raw and raw[-1] == "":
-        raw.pop()
+    raw = read_lines(path)
     try:
         merge_at = raw.index("#MERGES")
     except ValueError:

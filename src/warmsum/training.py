@@ -169,7 +169,7 @@ class MetricsLog:
 def _train_step(model, state: OptimizerState, cfg: TrainConfig, step: int,
                 rng: np.random.Generator, loss_of, what: str) -> float:
     """Tape `loss_of()` and its backward in train mode, then Adam at `lr_at(step)`;
-    returns the loss. A non-finite loss raises before any parameter moves."""
+    returns the loss. A non-finite loss or gradient raises before any parameter moves."""
     model.train(rng)
     with T.Tape():
         loss = loss_of()
@@ -177,7 +177,10 @@ def _train_step(model, state: OptimizerState, cfg: TrainConfig, step: int,
     loss_val = loss.item()
     if not math.isfinite(loss_val):
         raise NumericError(f"non-finite {what} loss at step {step}")
-    adam_step(state, lr_at(step, cfg))
+    try:
+        adam_step(state, lr_at(step, cfg))
+    except NumericError as e:  # a non-finite gradient; its message names the parameter
+        raise NumericError(f"{e} at {what} step {step}") from None
     state.zero_grad()
     return loss_val
 
@@ -333,8 +336,7 @@ def finetune(ckpt: Checkpoint, train_set, dev_set, vocab: Vocabulary,
     if eval_every is None:
         eval_every = max(1, cfg.total_steps // 10)
 
-    best_rouge, best_step = -1.0, -1
-    best_params = {k: p.data.copy() for k, p in params.items()}
+    best_rouge, best_step = -1.0, -1  # the first evaluation, at least 0, replaces it
 
     for step in range(1, cfg.total_steps + 1):
         idx = rng.integers(0, len(train_pairs), size=cfg.batch_size)

@@ -93,11 +93,17 @@ def test_warm2warm_structural_diff_isolates_cross_attention(encoder_ckpt):
         assert copied == (".cross_attn." not in name), name
 
 
-def test_warm_copy_map_covers_every_non_cross_attention_name():
-    mapping = warm_copy_map(CFG, AssemblyMode.WARM2WARM)
-    ckpt_names = set(fresh_params(CFG, "encoder_decoder", 0))
-    uncopied = ckpt_names - set(mapping)
-    assert uncopied == {n for n in ckpt_names if ".cross_attn." in n}
+@pytest.mark.parametrize("mode", list(AssemblyMode))
+def test_warm_copy_map_covers_every_non_cross_attention_name(mode):
+    mapping = warm_copy_map(CFG, mode)
+    names = set(fresh_params(CFG, "encoder_decoder", 0))
+    if mode is AssemblyMode.RND2RND:
+        assert mapping == {}
+    elif mode is AssemblyMode.WARM2RND:
+        assert mapping == {n: n for n in names if n.startswith("encoder.")}
+    else:  # every name but cross-attention's, from the encoder tensor of its path
+        assert mapping == {n: n.replace("decoder.", "encoder.", 1)
+                           for n in names if ".cross_attn." not in n}
 
 
 def test_warm2warm_produces_finite_logits(encoder_ckpt):
@@ -129,6 +135,8 @@ def test_incompatible_source_rejected(encoder_ckpt):
     deeper = dataclasses.replace(CFG, n_dec_layers=3)
     with pytest.raises(DataError, match="layers"):
         assemble(encoder_ckpt, AssemblyMode.WARM2WARM, deeper, seed=0)
+    # a mode that copies no decoder tensor needs no encoder layer per decoder layer
+    assemble(encoder_ckpt, AssemblyMode.WARM2RND, deeper, seed=0)
 
 
 def test_provenance_recorded(encoder_ckpt):

@@ -387,6 +387,17 @@ def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
     assert f"{cand}: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_evaluate_splits_its_files_at_newlines_only(tmp_path, capsys):
+    cand, ref, csv = tmp_path / "cand.txt", tmp_path / "ref.txt", tmp_path / "scores.csv"
+    cand.write_bytes("con\u2028mèo\r\ncon chó\r\n".encode("utf-8"))  # U+2028 is no newline
+    ref.write_text("con mèo\ncon chó\n", encoding="utf-8")
+    assert main(["evaluate", "--candidates", str(cand), "--references", str(ref),
+                 "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["rougeL"] + ["100.00"] * 3
+    rows = csv.read_text(encoding="utf-8").splitlines()[1:]
+    assert sorted({row.split(",")[0] for row in rows}) == ["0", "1", "aggregate"]
+
+
 FITS_16 = {"pretrain": {"max_src_len": 16}, "finetune": {"max_src_len": 16}}
 
 
@@ -427,6 +438,13 @@ def test_generate_non_utf8_input_exits_2(tmp_path, capsys, generate_args):
     bodies.write_bytes(b"ba \xff lo\n")
     assert main([*generate_args, "--input", str(bodies)]) == 2
     assert f"{bodies}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_generate_writes_one_summary_per_newline_ended_line(tmp_path, generate_args):
+    bodies = tmp_path / "in.txt"
+    bodies.write_text("ba\u2028lo ba\nlo\n", encoding="utf-8")  # `wc -l` counts 2 lines
+    assert main([*generate_args, "--input", str(bodies)]) == 0
+    assert (tmp_path / "out.txt").read_bytes().count(b"\n") == 2
 
 
 @pytest.mark.parametrize("beam_size", [1, 3], ids=["greedy", "beam"])

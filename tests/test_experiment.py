@@ -16,7 +16,7 @@ import pytest
 import warmsum.experiment as experiment
 from warmsum.assembly import load_checkpoint
 from warmsum.cli import main
-from warmsum.errors import DataError
+from warmsum.errors import CheckpointError, DataError
 from warmsum.experiment import (CellResult, CorpusSettings, ExperimentConfig, ModelSettings,
                                 ResultsTable, TokenizerSettings, config_from_json,
                                 config_to_json, encoder_quality_text, load_results,
@@ -525,6 +525,22 @@ def test_a_pretraining_error_still_exits_2(tmp_path, capsys):
     assert "encoder_mlm.ckpt" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
     assert not (out / "results.txt").exists()
+
+
+def test_a_stopped_run_leaves_the_callers_own_children_running(tmp_path):
+    out = tmp_path / "runs"
+    out.mkdir()
+    (out / "encoder_mlm.ckpt").write_bytes(b"not a checkpoint")
+    child = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+    child.start()
+    try:
+        with pytest.raises(CheckpointError, match="encoder_mlm.ckpt"):
+            run_experiment(tiny_config(out))
+        assert child.is_alive()
+        assert multiprocessing.active_children() == [child]  # no worker is left
+    finally:
+        child.terminate()
+        child.join()
 
 
 @pytest.mark.slow

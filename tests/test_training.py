@@ -436,3 +436,39 @@ def test_non_finite_loss_names_the_phase_and_step(monkeypatch, chain_setup, copy
     cfg = TrainConfig(total_steps=3, warmup_steps=1, batch_size=4, max_src_len=20, max_tgt_len=8)
     with pytest.raises(NumericError, match="^non-finite fine-tuning loss at step 1$"):
         finetune(assembled, examples[:8], examples[8:12], vocab, cfg)
+
+
+def test_non_finite_gradient_names_the_parameter_the_phase_and_step(monkeypatch, chain_setup,
+                                                                    copy_task_setup):
+    import warmsum.training as training
+
+    states, steps = [], []
+
+    class RecordedState(OptimizerState):
+        def __init__(self, params):
+            super().__init__(params)
+            states.append(self)
+            steps.clear()
+
+    def backward(loss, real=T.backward):
+        real(loss)
+        steps.append(len(steps) + 1)
+        if steps[-1] == 3:  # one gradient of the arena turns NaN at step 3
+            states[-1].grad[states[-1].spans[0][0]] = math.nan
+
+    monkeypatch.setattr(training, "OptimizerState", RecordedState)
+    monkeypatch.setattr(training.T, "backward", backward)
+    lines, vocab, model_cfg = chain_setup
+    cfg = TrainConfig(total_steps=4, warmup_steps=1, batch_size=8, max_src_len=24)
+    with pytest.raises(NumericError) as info:
+        pretrain_mlm(lines, vocab, model_cfg, cfg)
+    assert str(info.value) == (f"non-finite gradient in parameter {states[-1].names[0]!r} "
+                               "at MLM step 3")
+
+    examples, vocab, model_cfg = copy_task_setup
+    assembled = assemble(None, AssemblyMode.RND2RND, model_cfg, seed=0)
+    cfg = TrainConfig(total_steps=4, warmup_steps=1, batch_size=4, max_src_len=20, max_tgt_len=8)
+    with pytest.raises(NumericError) as info:
+        finetune(assembled, examples[:8], examples[8:12], vocab, cfg)
+    assert str(info.value) == (f"non-finite gradient in parameter {states[-1].names[0]!r} "
+                               "at fine-tuning step 3")
