@@ -12,9 +12,25 @@ bias vector over the last axis, and nothing else. Masks and other constants
 enter through `add_const`, which does not differentiate through its constant.
 
 The fused ops (`linear`, `split_heads`, `merge_heads`, `attention_probs`,
-`add_layer_norm`) each record one node for a chain of the primitive ops. Their
-forward and backward evaluate the chain's numpy expressions in the chain's
-order, so a model built from them computes bit-identical values and gradients.
+`add_layer_norm`) each record one node for a chain of the primitive ops.
+
+Every kernel gives the bits of its plain numpy expressions while skipping
+the work whose result is thrown away; each float operation it keeps has the
+expression's operands and order:
+
+- a chain of expressions writes into its own temporaries (`out=`, `*=`)
+  instead of allocating an array per expression;
+- softmax never passes `np.exp` a max-shifted score below -746, whose exp is
+  exactly 0.0 and goes through numpy's slow underflow path;
+- `cross_entropy` normalises only the rows that carry a target: every row's
+  max, exp and log-sum is its own;
+- `embedding_lookup` scatters its gradient with `np.bincount`, which adds the
+  contributions to each table entry in index order, as `np.add.at` did;
+- `backward` keeps, without copying, an array that a backward rule has just
+  allocated for one input. The copy turned -0.0 into 0.0, so an intermediate
+  gradient may now hold -0.0; training adds it to the arena's gradients,
+  which start at 0.0, where it sums as 0.0 does, so no parameter, Adam
+  moment or clipping norm moves.
 """
 
 from __future__ import annotations
@@ -108,14 +124,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a C-ordered copy, as zeros + g was: -0.0 becomes +0.0, and a
-            # transposed contribution does not hand its order to later sums
-            self.grad = np.add(g, 0.0, order="C")
-        else:
-            self.grad += g
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -175,8 +183,22 @@ def backward(loss: Tensor) -> None:
     for out, inputs, backward_fn in reversed(tape._nodes):
         if out.grad is None:
             continue
-        for t, g in zip(inputs, backward_fn(out.grad)):
-            t.accumulate_grad(g)
+        grads = backward_fn(out.grad)
+        for t, g in zip(inputs, grads):
+            if t.grad is not None:
+                t.grad += g
+            elif _fresh(g, out.grad, grads):
+                t.grad = g
+            else:
+                # a C-ordered copy: a view, the upstream gradient or an array
+                # another input also receives must not become this one's buffer
+                t.grad = np.add(g, 0.0, order="C")
+
+
+def _fresh(g: np.ndarray, upstream: np.ndarray, grads: tuple) -> bool:
+    """Whether a backward rule allocated g for one input alone, so it may keep it."""
+    return (g.base is None and g.flags.c_contiguous and g is not upstream
+            and sum(x is g for x in grads) == 1)
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -225,7 +247,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeMismatchError(f"linear shapes incompatible: {x.shape} @ {w.shape} + {b.shape}")
     xd, wd = x.data, w.data
-    out = xd @ wd + b.data
+    out = xd @ wd
+    out += b.data
 
     def bw(g):
         gx, gw = _weight_product_grads(g, xd, wd)
@@ -272,20 +295,41 @@ def sum_all(a: Tensor) -> Tensor:
 # nonlinearities and normalization
 
 
-def _softmax(xd: np.ndarray, axis: int) -> np.ndarray:
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+# np.exp of a float64 below -745.14 is 0.0; numpy reaches it through a slow path
+_EXP_ZERO_BELOW = -746.0
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-subtracted softmax along `axis`, written over x, which the caller owns.
+
+    Scores that the shift leaves below _EXP_ZERO_BELOW get their exp, 0.0,
+    without np.exp. They are found from the shifted scores, not from a mask,
+    so a row whose every key is masked is normalised as any other row.
+    """
+    x -= x.max(axis=axis, keepdims=True)
+    dead = x < _EXP_ZERO_BELOW  # NaN is not dead: its exp stays NaN
+    if dead.any():
+        np.copyto(x, 0.0, where=dead)  # exp(0.0) takes the fast path
+        np.exp(x, out=x)
+        np.copyto(x, 0.0, where=dead)
+    else:
+        np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    dot = (g * y).sum(axis=axis, keepdims=True)
-    return (g - dot) * y
+    """(g - sum(g * y)) * y along `axis`, in one new array."""
+    gy = g * y
+    dot = gy.sum(axis=axis, keepdims=True)
+    gy = np.subtract(g, dot, out=gy)
+    gy *= y
+    return gy
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along `axis`; rows sum to 1."""
-    y = _softmax(x.data, axis)
+    y = _softmax(x.data.copy(), axis)
     return _make(y, (x,), lambda g: (_softmax_grad(g, y, axis),))
 
 
@@ -301,17 +345,19 @@ def attention_probs(q: Tensor, k: Tensor, s: float, mask: np.ndarray | None = No
     s = float(s)
     qd = q.data
     kt = np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))  # the chain's transposed copy
-    scores = (qd @ kt) * s
+    scores = qd @ kt
+    scores *= s
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64)
         if np.broadcast_shapes(scores.shape, mask.shape) != scores.shape:
             raise ShapeMismatchError(f"attention mask {mask.shape} does not broadcast "
                                      f"to the scores {scores.shape}")
-        scores = scores + mask
+        scores += mask
     y = _softmax(scores, -1)
 
     def bw(g):
-        gs = _softmax_grad(g, y, -1) * s
+        gs = _softmax_grad(g, y, -1)
+        gs *= s
         gq = gs @ np.swapaxes(kt, -1, -2)
         gk = (np.swapaxes(qd, -1, -2) @ gs).transpose(0, 1, 3, 2)
         return gq, gk
@@ -326,7 +372,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         raise ShapeMismatchError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    out, norm_grads = _normalize(x.data, gain.data, bias.data, eps)
+    out, norm_grads = _normalize(x.data.copy(), gain.data, bias.data, eps)
     # a closure of this op's own, so the recorded node carries its name
     return _make(out, (x, gain, bias), lambda g: norm_grads(g))
 
@@ -338,7 +384,7 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
     if x.shape != y.shape or gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatchError(f"add_layer_norm shapes incompatible: {x.shape} + {y.shape}, "
                                  f"gain {gain.shape}, bias {bias.shape}")
-    out, norm_grads = _normalize(x.data + y.data, gain.data, bias.data, eps)
+    out, norm_grads = _normalize(np.add(x.data, y.data), gain.data, bias.data, eps)
 
     def bw(g):
         dx, dgain, dbias = norm_grads(g)
@@ -353,20 +399,29 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
 
 
 def _normalize(xd: np.ndarray, gd: np.ndarray, bd: np.ndarray, eps: float):
-    """Layer norm of xd's last axis: the output and its (dx, dgain, dbias) backward."""
+    """Layer norm of xd's last axis: the output and its (dx, dgain, dbias) backward.
+
+    xd is the caller's to give: it becomes the normalised xhat.
+    """
     d = xd.shape[-1]
-    mu = _mean_last(xd)
-    centered = xd - mu
-    var = _mean_last(centered * centered)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gd + bd
+    centered = np.subtract(xd, _mean_last(xd), out=xd)
+    sq = centered * centered
+    inv = 1.0 / np.sqrt(_mean_last(sq) + eps)
+    xhat = np.multiply(centered, inv, out=centered)
+    out = np.multiply(xhat, gd, out=sq)
+    out += bd
 
     def grads(g):
-        dgain = (g * xhat).reshape(-1, d).sum(axis=0)
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in two buffers
+        gx = g * xhat
+        dgain = gx.reshape(-1, d).sum(axis=0)
         dbias = g.reshape(-1, d).sum(axis=0)
         dxhat = g * gd
-        dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
+        mean_dxhat = _mean_last(dxhat)
+        mean_dxhat_xhat = _mean_last(np.multiply(dxhat, xhat, out=gx))
+        dx = np.subtract(dxhat, mean_dxhat, out=dxhat)
+        dx -= np.multiply(xhat, mean_dxhat_xhat, out=gx)
+        dx *= inv
         return dx, dgain, dbias
 
     return out, grads
@@ -378,14 +433,32 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+    # _GELU_C * (xd + 0.044715 * (xd * xd * xd)), then 0.5 * xd * (1.0 + t)
+    inner = xd * xd
+    inner *= xd
+    inner *= 0.044715
+    inner += xd
+    inner *= _GELU_C
+    t = np.tanh(inner, out=inner)
+    one_plus_t = 1.0 + t
+    out = 0.5 * xd
+    out *= one_plus_t
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd * xd)
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
-        return (g * dx,)
+        # g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner), where
+        # dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd * xd)
+        dinner = (3 * 0.044715) * xd
+        dinner *= xd
+        dinner += 1.0
+        dinner *= _GELU_C
+        tt = t * t
+        rest = 0.5 * xd
+        rest *= np.subtract(1.0, tt, out=tt)
+        rest *= dinner
+        dx = np.multiply(one_plus_t, 0.5, out=tt)
+        dx += rest
+        dx *= g
+        return (dx,)
 
     return _make(out, (x,), bw)
 
@@ -446,9 +519,11 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     out = table.data[ids]
 
     def bw(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.shape[1]))
-        return (gt,)
+        # one bin per table entry; bincount adds each bin's contributions in
+        # index order, as np.add.at adds each row's
+        n, d = table.shape
+        bins = (ids.reshape(-1, 1).astype(np.intp) * d + np.arange(d)).reshape(-1)
+        return (np.bincount(bins, weights=g.reshape(-1), minlength=n * d).reshape(n, d),)
 
     return _make(out, (table,), bw)
 
@@ -492,20 +567,26 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> T
     if kept_targets.min() < 0 or kept_targets.max() >= v:
         raise DataError(f"cross_entropy target id out of range [0, {v})")
 
+    # each row's max, exp and log-sum is its own: the ignored rows need none
     ld = logits.data.reshape(-1, v)
-    m = ld.max(axis=1, keepdims=True)
-    e = np.exp(ld - m)
+    rows = np.flatnonzero(keep)
+    e = ld[rows]
+    m = e.max(axis=1, keepdims=True)
+    e -= m
+    np.exp(e, out=e)
     z = e.sum(axis=1, keepdims=True)
     logz = np.log(z) + m
-    rows = np.nonzero(keep)[0]
-    nll = logz[rows, 0] - ld[rows, kept_targets]
+    nll = logz[:, 0] - ld[rows, kept_targets]
     out = np.asarray(nll.sum() / n_keep)
 
     def bw(g):
+        # ((softmax - one_hot) on the kept rows, 0.0 elsewhere) * (g / n_keep)
+        factor = float(g) / n_keep
         p = e / z
-        gl = np.zeros_like(ld)
-        gl[rows] = p[rows]
-        gl[rows, kept_targets] -= 1.0
-        return ((gl * (float(g) / n_keep)).reshape(logits.shape),)
+        p[np.arange(n_keep), kept_targets] -= 1.0
+        p *= factor
+        gl = np.full(logits.shape, 0.0 * factor)
+        gl.reshape(-1, v)[rows] = p
+        return (gl,)
 
     return _make(out, (logits,), bw)

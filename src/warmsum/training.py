@@ -13,6 +13,7 @@ Both phases run one optimisation step, `_train_step`, on the model's
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,13 +141,24 @@ def frame_ids(ids: list[int], max_len: int) -> list[int]:
     return [BOS] + ids[:max_len - 2] + [EOS]
 
 
+def _warn_cut(*groups: tuple[str, list[list[int]], int]) -> None:
+    """One warning for the id lists that frame_ids will cut, if any: for each
+    (what, id lists, window), how many are cut and to which window."""
+    cuts = [f"{n} of {len(seqs)} {what} to the window of {max_len}"
+            for what, seqs, max_len in groups
+            if (n := sum(len(ids) > max_len - 2 for ids in seqs))]
+    if cuts:
+        warnings.warn(f"cut {' and '.join(cuts)} ids (BOS and EOS included); "
+                      f"the cut tokens are not trained on", stacklevel=3)
+
+
 def encode_pairs(examples, vocab: Vocabulary, cfg: TrainConfig) -> list[tuple[list[int], list[int]]]:
-    pairs = []
-    for ex in examples:
-        src = frame_ids(encode(ex.body, vocab).ids, cfg.max_src_len)
-        tgt = frame_ids(encode(ex.abstract, vocab).ids, cfg.max_tgt_len)
-        pairs.append((src, tgt))
-    return pairs
+    """Framed (body, abstract) ids; warns once if a window cuts any of them."""
+    bodies = [encode(ex.body, vocab).ids for ex in examples]
+    abstracts = [encode(ex.abstract, vocab).ids for ex in examples]
+    _warn_cut(("bodies", bodies, cfg.max_src_len), ("abstracts", abstracts, cfg.max_tgt_len))
+    return [(frame_ids(src, cfg.max_src_len), frame_ids(tgt, cfg.max_tgt_len))
+            for src, tgt in zip(bodies, abstracts)]
 
 
 class MetricsLog:
@@ -211,10 +223,11 @@ def _mask_batch(batch: np.ndarray, vocab_size: int, prob: float,
 
 
 def _mlm_documents(lines: list[str], vocab: Vocabulary, cfg: TrainConfig) -> list[list[int]]:
-    """Framed id sequences of the nonblank lines that hold at least one token."""
-    seqs = [frame_ids(encode(line, vocab).ids, cfg.max_src_len)
-            for line in lines if line.strip()]
-    return [s for s in seqs if len(s) > 2]
+    """Framed id sequences of the nonblank lines that hold at least one token;
+    warns once if the window cuts any of them."""
+    docs = [ids for line in lines if line.strip() and (ids := encode(line, vocab).ids)]
+    _warn_cut(("documents", docs, cfg.max_src_len))
+    return [frame_ids(ids, cfg.max_src_len) for ids in docs]
 
 
 def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,

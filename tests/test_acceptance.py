@@ -75,6 +75,11 @@ def _op_cases(rng):
     key_mask[..., 0] = 0.0  # every query attends to at least one key
     w2234 = rng.normal(size=(2, 2, 3, 4))
     w2235 = rng.normal(size=(2, 2, 3, 5))
+    # the decoder's self-attention mask: causal plus PAD keys, about half the scores
+    k5 = T.Tensor(rng.normal(size=(2, 2, 5, 4)))
+    q5 = T.Tensor(rng.normal(size=(2, 2, 5, 4)))
+    causal_mask = np.triu(np.full((5, 5), -1e9), k=1) + key_mask
+    w2255 = rng.normal(size=(2, 2, 5, 5))
 
     def dot(t, w):
         flat = T.reshape(t, (1, int(np.prod(t.shape))))
@@ -105,6 +110,8 @@ def _op_cases(rng):
         ("merge_heads", [q], lambda: dot(T.merge_heads(q), w2234)),
         ("attention_probs", [q, k],
          lambda: dot(T.attention_probs(q, k, 0.5, key_mask), w2235)),
+        ("attention_probs_causal", [q5, k5],
+         lambda: dot(T.attention_probs(q5, k5, 0.5, causal_mask), w2255)),
         ("add_layer_norm", [b234, x2344, gain, bias],
          lambda: dot(T.add_layer_norm(b234, x2344, gain, bias, eps=1e-8), w234)),
     ]

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from warmsum.experiment import (CellResult, CorpusSettings, ExperimentConfig, Mo
 from warmsum.corpus import load_jsonl, split
 from warmsum.synthetic import SyntheticSettings, generate_corpus, word_inventory
 from warmsum.tokenizer import encode, load_vocab, train_bpe
-from warmsum.training import TrainConfig, evaluate_mlm, unigram_entropy
+from warmsum.training import (TrainConfig, _mlm_documents, encode_pairs, evaluate_mlm,
+                              unigram_entropy)
 
 
 def tiny_config(output_dir, modes=("RND2RND", "WARM2WARM"), seeds=(1, 2)):
@@ -136,17 +138,31 @@ def test_config_validates_modes_and_seeds(tmp_path):
         tiny_config(tmp_path, seeds=())
 
 
+def _default_splits_and_vocab(cfg: ExperimentConfig):
+    splits = split(generate_corpus(cfg.corpus.synthetic), cfg.corpus.ratios, cfg.corpus.split_seed)
+    return splits, train_bpe(experiment.tokenizer_lines(splits["train"]),
+                             cfg.tokenizer.target_vocab_size)
+
+
 def test_default_windows_hold_whole_documents():
     cfg = ExperimentConfig()
     syn = cfg.corpus.synthetic
-    train = split(generate_corpus(syn), cfg.corpus.ratios, cfg.corpus.split_seed)["train"]
-    vocab = train_bpe([ex.body for ex in train] + [ex.abstract for ex in train],
-                      cfg.tokenizer.target_vocab_size)
+    _, vocab = _default_splits_and_vocab(cfg)
     # every word is one token, so the windows follow from word counts
     assert all(len(encode(w, vocab).ids) == 1 for w in word_inventory(syn.n_words))
     assert cfg.pretrain.max_src_len >= syn.body_max + syn.lead_k + 2  # "body abstract"
     assert cfg.finetune.max_src_len >= syn.body_max + 2
     assert cfg.finetune.max_tgt_len >= syn.lead_k + 2
+
+
+def test_default_config_frames_every_document_without_a_warning():
+    cfg = ExperimentConfig()
+    splits, vocab = _default_splits_and_vocab(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cut document would raise here
+        for examples in splits.values():
+            _mlm_documents(experiment.pretraining_lines(examples), vocab, cfg.pretrain)
+            encode_pairs(examples, vocab, cfg.finetune)
 
 
 def test_results_table_rendering():

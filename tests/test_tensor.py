@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ops
 from gradcheck import fd_grad, rel_err
 from warmsum import tensor as T
 from warmsum.errors import DataError, ShapeMismatchError
@@ -104,6 +105,32 @@ def test_softmax_gradient():
     x = T.Tensor(rng.normal(size=(3, 5)))
     w = rng.normal(size=(3, 5))
     check_op_gradient(lambda: _dot(T.softmax(x, axis=-1), w), [x])
+
+
+def _attention_chain(q, k, s, mask):
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), s)
+    return T.softmax(T.add_const(scores, mask), axis=-1)
+
+
+def test_attention_row_with_every_key_masked_matches_the_reference_chain(monkeypatch):
+    rng = np.random.default_rng(15)
+    q, k = T.Tensor(rng.normal(size=(2, 2, 3, 4))), T.Tensor(rng.normal(size=(2, 2, 3, 4)))
+    mask = np.zeros((2, 1, 1, 3))
+    mask[0, ..., 2] = -1e9  # one key masked: its exp is skipped
+    mask[1] = -1e9  # every key masked: the row's probabilities come from its scores
+    w = rng.normal(size=(2, 2, 3, 3))
+    runs = []
+    for attention in (T.attention_probs, _attention_chain):
+        q.grad = k.grad = None
+        with monkeypatch.context() as patch:
+            if attention is _attention_chain:
+                reference_ops.install(patch)
+            with T.Tape():
+                out = attention(q, k, 0.5, mask)
+                T.backward(_dot(out, w))
+        runs.append((out.data.tobytes(), q.grad.tobytes(), k.grad.tobytes()))
+    assert runs[0] == runs[1]
+    assert np.all(out.data[1] > 0.0) and np.all(out.data[0, ..., 2] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +303,36 @@ def test_backward_without_tape_errors():
     loss = T.sum_all(x)  # no tape active
     with pytest.raises(RuntimeError, match="tape"):
         T.backward(loss)
+
+
+@pytest.mark.parametrize("op", ["add", "add_layer_norm"])
+def test_inputs_given_one_gradient_array_keep_their_own_buffers(op):
+    # add returns (g, g) and add_layer_norm (dx, dx): one array for both inputs
+    rng = np.random.default_rng(16)
+    x, y = T.Tensor(rng.normal(size=(2, 3, 4))), T.Tensor(rng.normal(size=(2, 3, 4)))
+    gain, bias = T.Tensor(np.ones(4)), T.Tensor(np.zeros(4))
+    with T.Tape():
+        out = T.add(x, y) if op == "add" else T.add_layer_norm(x, y, gain, bias)
+        T.backward(_dot(out, rng.normal(size=(2, 3, 4))))
+    assert np.array_equal(x.grad, y.grad) and not np.shares_memory(x.grad, y.grad)
+    before = y.grad.copy()
+    x.grad += 1.0
+    assert np.array_equal(y.grad, before)
+
+
+def test_backward_keeps_only_a_fresh_gradient_array_for_one_input():
+    x, y, z = (T.Tensor(np.ones((2, 3))) for _ in range(3))
+    fresh, shared = np.full((2, 3), 2.0), np.full((2, 3), 3.0)
+    with T.Tape():
+        pair = T._make(x.data + y.data, (x, y), lambda g: (shared, shared))
+        view = T._make(z.data.copy(), (z,), lambda g: (fresh.T.T,))
+        loss = T._make(np.asarray(pair.data.sum() + view.data.sum()), (pair, view),
+                       lambda g: (fresh, np.ones((2, 3))))
+        T.backward(loss)
+    assert pair.grad is fresh  # allocated by the rule for one input: kept
+    for t in (x, y, z):  # a shared array and a view: copied
+        assert not np.shares_memory(t.grad, shared) and not np.shares_memory(t.grad, fresh)
+    assert not np.shares_memory(x.grad, y.grad)
 
 
 def test_backward_fanout_accumulates_both_paths():

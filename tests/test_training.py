@@ -5,17 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_ops
 from warmsum import tensor as T
 from warmsum.assembly import AssemblyMode, assemble, fresh_params, save_checkpoint_bytes
 from warmsum.corpus import CorpusExample
+from warmsum.decoding import search
 from warmsum.errors import DataError, NumericError
 from warmsum.model import EncoderDecoderModel, EncoderMlm, ModelConfig, pad_batch
 from warmsum.synthetic import SyntheticSettings, generate_corpus
 from warmsum.tokenizer import BOS, EOS, MASK, PAD, encode, train_bpe
 from warmsum.training import (ADAM_EPS, BETA1, BETA2, GRADIENT_CLIP_NORM, MetricsLog,
-                              OptimizerState, TrainConfig, _mask_batch, adam_step,
-                              encode_pairs, evaluate_mlm, finetune, frame_ids, lr_at,
-                              pretrain_mlm, unigram_entropy)
+                              OptimizerState, TrainConfig, _mask_batch, _mlm_documents,
+                              adam_step, encode_pairs, evaluate_mlm, finetune, frame_ids,
+                              lr_at, pretrain_mlm, unigram_entropy)
 
 
 def _param(value, name="p"):
@@ -104,6 +106,33 @@ def _per_tensor_adam(params, m, v, step, lr):
         params[n].grad = None
 
 
+def _reference_kernels(patch):
+    """The primitive op chains in place of the fused ops, and the frozen plain
+    expressions in place of the kernels that evaluate them in place."""
+    for name, fn in _chain_ops().items():
+        patch.setattr(T, name, fn)
+    reference_ops.install(patch)
+
+
+def _arena_update(states):
+    def update(params):
+        state = OptimizerState(params)
+        for p in params.values():
+            assert np.shares_memory(p.data, state.data) and np.shares_memory(p.grad, state.grad)
+        states.append(state)
+
+        def step_fn(step, lr):
+            adam_step(state, lr)
+            state.zero_grad()
+        return step_fn
+    return update
+
+
+def _reference_update(params):
+    m, v = {}, {}
+    return lambda step, lr: _per_tensor_adam(params, m, v, step, lr)
+
+
 def _train_steps(update, steps=12, seed=4):
     """Fine-tune a 2+2-layer model with dropout 0.1 on random pairs; returns model, losses."""
     cfg = ModelConfig(vocab_size=24, d_model=16, n_heads=2, d_ff=32, n_enc_layers=2,
@@ -131,27 +160,10 @@ def _train_steps(update, steps=12, seed=4):
 
 def test_fused_ops_and_arena_train_bit_identically_to_primitive_ops(monkeypatch):
     states = []
-
-    def arena_update(params):
-        state = OptimizerState(params)
-        for p in params.values():
-            assert np.shares_memory(p.data, state.data) and np.shares_memory(p.grad, state.grad)
-        states.append(state)
-
-        def step_fn(step, lr):
-            adam_step(state, lr)
-            state.zero_grad()
-        return step_fn
-
-    def reference_update(params):
-        m, v = {}, {}
-        return lambda step, lr: _per_tensor_adam(params, m, v, step, lr)
-
-    fused, fused_losses = _train_steps(arena_update)
+    fused, fused_losses = _train_steps(_arena_update(states))
     with monkeypatch.context() as patch:
-        for name, fn in _chain_ops().items():
-            patch.setattr(T, name, fn)
-        reference, reference_losses = _train_steps(reference_update)
+        _reference_kernels(patch)
+        reference, reference_losses = _train_steps(_reference_update)
     assert fused_losses == reference_losses
     assert fused_losses[-1] < fused_losses[0]
     for name, p in reference.params.items():
@@ -160,6 +172,55 @@ def test_fused_ops_and_arena_train_bit_identically_to_primitive_ops(monkeypatch)
     for name, p in fused.params.items():
         assert np.shares_memory(p.data, states[0].data), name
         assert np.shares_memory(p.grad, states[0].grad), name
+
+
+def _train_mlm_steps(update, steps=8, seed=5):
+    """MLM-train a 2-layer encoder with dropout 0.1 on masked batches whose rows
+    have unequal lengths, one of them all PAD; returns model, losses."""
+    cfg = ModelConfig(vocab_size=24, d_model=16, n_heads=2, d_ff=32, n_enc_layers=2,
+                      n_dec_layers=0, max_positions=16, dropout=0.1)
+    params = {name: T.Tensor(arr) for name, arr in fresh_params(cfg, "encoder_mlm", seed).items()}
+    model = EncoderMlm(cfg, params)
+    data = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    step_fn = update(params)
+    losses = []
+    for step in range(1, steps + 1):
+        docs = [[BOS, *data.integers(5, cfg.vocab_size, size=n), EOS] for n in (12, 3, 7, 9, 5)]
+        batch = pad_batch(docs + [[]])  # a PAD row: its every key is masked
+        corrupted, targets = _mask_batch(batch, cfg.vocab_size, 0.3, data)
+        model.train(rng)
+        with T.Tape():
+            loss = model.forward_loss(corrupted, targets)
+            T.backward(loss)
+        losses.append(loss.item())
+        step_fn(step, lr_at(step, TrainConfig(learning_rate=3e-2, warmup_steps=3)))
+    return model, losses
+
+
+def test_fused_ops_and_arena_pretrain_bit_identically_to_primitive_ops(monkeypatch):
+    fused, fused_losses = _train_mlm_steps(_arena_update([]))
+    with monkeypatch.context() as patch:
+        _reference_kernels(patch)
+        reference, reference_losses = _train_mlm_steps(_reference_update)
+    assert fused_losses == reference_losses
+    assert fused_losses[-1] < fused_losses[0]
+    for name, p in reference.params.items():
+        assert np.array_equal(fused.params[name].data, p.data), name
+
+
+@pytest.mark.parametrize("beam_size", [1, 4])
+def test_fused_ops_decode_bit_identically_to_primitive_ops(monkeypatch, beam_size):
+    model, _ = _train_steps(_arena_update([]))
+    model.eval()
+    data = np.random.default_rng(6)
+    srcs = [[BOS, *data.integers(5, 24, size=n), EOS] for n in (9, 2, 6, 13, 4)]
+    fused = search(model, srcs, beam_size, 8)
+    with monkeypatch.context() as patch:
+        _reference_kernels(patch)
+        reference = search(model, srcs, beam_size, 8)
+    assert [(h.ids, h.logprob) for h in fused] == [(h.ids, h.logprob) for h in reference]
+    assert len({h.logprob for h in fused}) == len(srcs)  # each source scores its own
 
 
 def _libc_has_mallopt() -> bool:
@@ -237,9 +298,28 @@ def test_encode_pairs_respects_truncation_limits():
     vocab = train_bpe(["mot hai ba bon nam sau bay tam"] * 3, 60)
     cfg = TrainConfig(max_src_len=8, max_tgt_len=5)
     examples = [CorpusExample("a", "mot hai ba bon nam sau bay tam " * 5, "mot hai ba bon nam")]
-    pairs = encode_pairs(examples, vocab, cfg)
+    with pytest.warns(UserWarning, match="cut 1 of 1 bodies to the window of 8 and "
+                                         "1 of 1 abstracts to the window of 5 ids"):
+        pairs = encode_pairs(examples, vocab, cfg)
     assert len(pairs[0][0]) <= 8
     assert len(pairs[0][1]) <= 5
+
+
+def test_a_short_window_warns_once_with_the_number_of_documents_cut(recwarn):
+    vocab = train_bpe(["mot hai ba bon nam sau bay tam"] * 3, 60)
+    lines = ["mot hai ba", "mot hai ba bon nam sau", "  ", "mot", "mot hai ba bon nam"]
+    cfg = TrainConfig(max_src_len=6, max_tgt_len=4)  # holds 4 content ids, then 2
+    assert [len(s) for s in _mlm_documents(lines, vocab, cfg)] == [5, 6, 3, 6]
+    examples = [CorpusExample(str(i), line, line) for i, line in enumerate(lines)]
+    encode_pairs(examples, vocab, cfg)
+    assert [str(w.message) for w in recwarn] == [
+        "cut 2 of 4 documents to the window of 6 ids (BOS and EOS included); "
+        "the cut tokens are not trained on",
+        "cut 2 of 5 bodies to the window of 6 and 3 of 5 abstracts to the window of 4 ids "
+        "(BOS and EOS included); the cut tokens are not trained on"]
+    recwarn.clear()
+    encode_pairs(examples[:1], vocab, TrainConfig(max_src_len=6, max_tgt_len=6))
+    assert not recwarn  # nothing cut, nothing said
 
 
 # -- MLM masking ---------------------------------------------------------------
