@@ -20,17 +20,10 @@ expression's operands and order:
 
 - a chain of expressions writes into its own temporaries (`out=`, `*=`)
   instead of allocating an array per expression;
-- softmax never passes `np.exp` a max-shifted score below -746, whose exp is
-  exactly 0.0 and goes through numpy's slow underflow path;
 - `cross_entropy` normalises only the rows that carry a target: every row's
   max, exp and log-sum is its own;
 - `embedding_lookup` scatters its gradient with `np.bincount`, which adds the
-  contributions to each table entry in index order, as `np.add.at` did;
-- `backward` keeps, without copying, an array that a backward rule has just
-  allocated for one input. The copy turned -0.0 into 0.0, so an intermediate
-  gradient may now hold -0.0; training adds it to the arena's gradients,
-  which start at 0.0, where it sums as 0.0 does, so no parameter, Adam
-  moment or clipping norm moves.
+  contributions to each table entry in index order, as `np.add.at` did.
 """
 
 from __future__ import annotations
@@ -124,6 +117,14 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # a C-ordered copy, as zeros + g was: -0.0 becomes +0.0, and a
+            # transposed contribution does not hand its order to later sums
+            self.grad = np.add(g, 0.0, order="C")
+        else:
+            self.grad += g
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -183,22 +184,8 @@ def backward(loss: Tensor) -> None:
     for out, inputs, backward_fn in reversed(tape._nodes):
         if out.grad is None:
             continue
-        grads = backward_fn(out.grad)
-        for t, g in zip(inputs, grads):
-            if t.grad is not None:
-                t.grad += g
-            elif _fresh(g, out.grad, grads):
-                t.grad = g
-            else:
-                # a C-ordered copy: a view, the upstream gradient or an array
-                # another input also receives must not become this one's buffer
-                t.grad = np.add(g, 0.0, order="C")
-
-
-def _fresh(g: np.ndarray, upstream: np.ndarray, grads: tuple) -> bool:
-    """Whether a backward rule allocated g for one input alone, so it may keep it."""
-    return (g.base is None and g.flags.c_contiguous and g is not upstream
-            and sum(x is g for x in grads) == 1)
+        for t, g in zip(inputs, backward_fn(out.grad)):
+            t.accumulate_grad(g)
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -295,36 +282,17 @@ def sum_all(a: Tensor) -> Tensor:
 # nonlinearities and normalization
 
 
-# np.exp of a float64 below -745.14 is 0.0; numpy reaches it through a slow path
-_EXP_ZERO_BELOW = -746.0
-
-
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Max-subtracted softmax along `axis`, written over x, which the caller owns.
-
-    Scores that the shift leaves below _EXP_ZERO_BELOW get their exp, 0.0,
-    without np.exp. They are found from the shifted scores, not from a mask,
-    so a row whose every key is masked is normalised as any other row.
-    """
+    """Max-subtracted softmax along `axis`, written over x, which the caller owns."""
     x -= x.max(axis=axis, keepdims=True)
-    dead = x < _EXP_ZERO_BELOW  # NaN is not dead: its exp stays NaN
-    if dead.any():
-        np.copyto(x, 0.0, where=dead)  # exp(0.0) takes the fast path
-        np.exp(x, out=x)
-        np.copyto(x, 0.0, where=dead)
-    else:
-        np.exp(x, out=x)
+    np.exp(x, out=x)
     x /= x.sum(axis=axis, keepdims=True)
     return x
 
 
 def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-    """(g - sum(g * y)) * y along `axis`, in one new array."""
-    gy = g * y
-    dot = gy.sum(axis=axis, keepdims=True)
-    gy = np.subtract(g, dot, out=gy)
-    gy *= y
-    return gy
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return (g - dot) * y
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -356,8 +324,7 @@ def attention_probs(q: Tensor, k: Tensor, s: float, mask: np.ndarray | None = No
     y = _softmax(scores, -1)
 
     def bw(g):
-        gs = _softmax_grad(g, y, -1)
-        gs *= s
+        gs = _softmax_grad(g, y, -1) * s
         gq = gs @ np.swapaxes(kt, -1, -2)
         gk = (np.swapaxes(qd, -1, -2) @ gs).transpose(0, 1, 3, 2)
         return gq, gk

@@ -227,7 +227,8 @@ def _mlm_documents(lines: list[str], vocab: Vocabulary, cfg: TrainConfig) -> lis
     warns once if the window cuts any of them."""
     docs = [ids for line in lines if line.strip() and (ids := encode(line, vocab).ids)]
     _warn_cut(("documents", docs, cfg.max_src_len))
-    return [frame_ids(ids, cfg.max_src_len) for ids in docs]
+    # a window of 2 holds BOS and EOS alone: nothing is left to mask
+    return [s for s in (frame_ids(ids, cfg.max_src_len) for ids in docs) if len(s) > 2]
 
 
 def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,

@@ -1,9 +1,8 @@
 """The tensor kernels as plain numpy expressions, frozen as references.
 
-`warmsum.tensor` evaluates these chains in buffers of its own, skips work
-whose result is a known zero and keeps gradient arrays instead of copying
-them; it must still give the bits of the expressions below, one new array
-per expression. `install(patch)` puts them in place of the kernels they
+`warmsum.tensor` evaluates these chains in buffers of its own and skips the
+rows and entries whose result is thrown away; it must still give the bits of
+the expressions below, one new array per expression. `install(patch)` puts them in place of the kernels they
 pin, through a pytest monkeypatch.
 """
 
@@ -97,23 +96,9 @@ def cross_entropy(logits, targets, ignore_id=-1):
     return T._make(out, (logits,), bw)
 
 
-def backward(loss):
-    """Replay the tape, copying every input's first gradient (zeros + g)."""
-    tape = loss._tape
-    loss.grad = np.ones((), dtype=np.float64)
-    for out, inputs, backward_fn in reversed(tape._nodes):
-        if out.grad is None:
-            continue
-        for t, g in zip(inputs, backward_fn(out.grad)):
-            if t.grad is None:
-                t.grad = np.add(g, 0.0, order="C")
-            else:
-                t.grad += g
-
-
 KERNELS = {"_softmax": _softmax, "_softmax_grad": _softmax_grad, "_normalize": _normalize,
            "gelu": gelu, "embedding_lookup": embedding_lookup,
-           "cross_entropy": cross_entropy, "backward": backward}
+           "cross_entropy": cross_entropy}
 
 
 def install(patch):

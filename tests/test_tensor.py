@@ -116,7 +116,7 @@ def test_attention_row_with_every_key_masked_matches_the_reference_chain(monkeyp
     rng = np.random.default_rng(15)
     q, k = T.Tensor(rng.normal(size=(2, 2, 3, 4))), T.Tensor(rng.normal(size=(2, 2, 3, 4)))
     mask = np.zeros((2, 1, 1, 3))
-    mask[0, ..., 2] = -1e9  # one key masked: its exp is skipped
+    mask[0, ..., 2] = -1e9  # one key masked: its probability is 0.0
     mask[1] = -1e9  # every key masked: the row's probabilities come from its scores
     w = rng.normal(size=(2, 2, 3, 3))
     runs = []
@@ -318,21 +318,6 @@ def test_inputs_given_one_gradient_array_keep_their_own_buffers(op):
     before = y.grad.copy()
     x.grad += 1.0
     assert np.array_equal(y.grad, before)
-
-
-def test_backward_keeps_only_a_fresh_gradient_array_for_one_input():
-    x, y, z = (T.Tensor(np.ones((2, 3))) for _ in range(3))
-    fresh, shared = np.full((2, 3), 2.0), np.full((2, 3), 3.0)
-    with T.Tape():
-        pair = T._make(x.data + y.data, (x, y), lambda g: (shared, shared))
-        view = T._make(z.data.copy(), (z,), lambda g: (fresh.T.T,))
-        loss = T._make(np.asarray(pair.data.sum() + view.data.sum()), (pair, view),
-                       lambda g: (fresh, np.ones((2, 3))))
-        T.backward(loss)
-    assert pair.grad is fresh  # allocated by the rule for one input: kept
-    for t in (x, y, z):  # a shared array and a view: copied
-        assert not np.shares_memory(t.grad, shared) and not np.shares_memory(t.grad, fresh)
-    assert not np.shares_memory(x.grad, y.grad)
 
 
 def test_backward_fanout_accumulates_both_paths():

@@ -322,6 +322,15 @@ def test_a_short_window_warns_once_with_the_number_of_documents_cut(recwarn):
     assert not recwarn  # nothing cut, nothing said
 
 
+def test_a_window_of_two_leaves_no_usable_mlm_line():
+    vocab = train_bpe(["mot hai ba bon nam sau bay tam"] * 3, 60)
+    cfg = TrainConfig(max_src_len=2, batch_size=1)
+    with pytest.warns(UserWarning, match="cut 2 of 2 documents to the window of 2"):
+        assert _mlm_documents(["mot hai", "ba"], vocab, cfg) == []
+    with pytest.warns(UserWarning), pytest.raises(DataError, match="0 usable lines"):
+        pretrain_mlm(["mot hai", "ba"], vocab, ModelConfig(vocab.size, 16, 2, 32, 1, 1, 8, 0.0), cfg)
+
+
 # -- MLM masking ---------------------------------------------------------------
 
 
