@@ -43,7 +43,7 @@ from .fileio import write_atomic
 from .model import EncoderDecoderModel, ModelConfig
 from .rouge import corpus_rouge
 from .synthetic import SyntheticSettings, generate_corpus
-from .training import (MetricsLog, TrainConfig, evaluate_mlm, finetune, frame_ids,
+from .training import (MetricsLog, TrainConfig, _warn_cut, evaluate_mlm, finetune, frame_ids,
                        pretrain_mlm, unigram_entropy)
 
 
@@ -354,9 +354,12 @@ def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
 def _decode_test(cfg: ExperimentConfig, model_ckpt, bodies: list[str],
                  vocab: tok.Vocabulary) -> list[str]:
     """Summaries of the bodies, each framed in the fine-tuning source window and at
-    most `finetune.max_tgt_len` tokens long, the budget of dev evaluation."""
+    most `finetune.max_tgt_len` tokens long, the budget of dev evaluation; warns
+    once if the window cuts any body."""
     model = EncoderDecoderModel.from_checkpoint(model_ckpt).eval()
-    srcs = [frame_ids(tok.encode(body, vocab).ids, cfg.finetune.max_src_len) for body in bodies]
+    ids = [tok.encode(body, vocab).ids for body in bodies]
+    _warn_cut(("bodies", ids, cfg.finetune.max_src_len))
+    srcs = [frame_ids(body_ids, cfg.finetune.max_src_len) for body_ids in ids]
     hyps = search(model, srcs, cfg.decoding.beam_size, cfg.finetune.max_tgt_len)
     return [tok.decode(list(h.ids), vocab) for h in hyps]
 

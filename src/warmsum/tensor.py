@@ -7,12 +7,19 @@ active, records one node with its backward rule. Backward replays the tape
 in reverse recording order, which visits each recorded node exactly once, and
 fills the `grad` of every tensor that fed a node on the loss's path.
 
-Broadcasting is deliberately restricted: `add` supports equal shapes plus a
-bias vector over the last axis, and nothing else. Masks and other constants
-enter through `add_const`, which does not differentiate through its constant.
+Besides `Tensor`, `Tape`, `backward` and `recording`, the module exports
+only the ops that the model records: `matmul`, `transpose`, `gelu`,
+`dropout`, `embedding_lookup`, `position_lookup` and `cross_entropy`, and the
+fused ops `linear`, `split_heads`, `merge_heads`, `attention_probs` and
+`add_layer_norm`, each of which records one node for a chain of primitive
+ops. An attention mask is an additive constant, which is not differentiated.
 
-The fused ops (`linear`, `split_heads`, `merge_heads`, `attention_probs`,
-`add_layer_norm`) each record one node for a chain of the primitive ops.
+The primitive ops (`add`, `add_const`, `scale`, `sum_all`, `softmax`,
+`layer_norm`, `reshape`), the fused ops written as their chains, and the
+kernels below written as plain expressions live in `tests/reference_ops.py`.
+Its `install` swaps the chains in for the fused ops, and the plain
+expressions in for `_softmax`, `_softmax_grad`, `_normalize`, `gelu`,
+`embedding_lookup` and `cross_entropy`.
 
 Every kernel gives the bits of its plain numpy expressions while skipping
 the work whose result is thrown away; each float operation it keeps has the
@@ -244,40 +251,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), bw)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add for equal shapes, or bias-add of a vector over the last axis."""
-    if a.shape == b.shape:
-        out = a.data + b.data
-        return _make(out, (a, b), lambda g: (g, g))
-    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        out = a.data + b.data
-
-        def bw(g):
-            return g, g.reshape(-1, b.shape[0]).sum(axis=0)
-
-        return _make(out, (a, b), bw)
-    raise ShapeMismatchError(f"add shapes incompatible: {a.shape} + {b.shape}")
-
-
-def add_const(a: Tensor, const: np.ndarray) -> Tensor:
-    """Add a non-differentiable constant broadcastable to a's shape."""
-    const = np.asarray(const, dtype=np.float64)
-    if np.broadcast_shapes(a.shape, const.shape) != a.shape:
-        raise ShapeMismatchError(f"add_const would broadcast {a.shape} to a new shape via {const.shape}")
-    out = a.data + const
-    return _make(out, (a,), lambda g: (g,))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _make(a.data * s, (a,), lambda g: (g * s,))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-    return _make(out, (a,), lambda g: (np.broadcast_to(g, a.shape).astype(np.float64),))
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 
@@ -293,12 +266,6 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 def _softmax_grad(g: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
     dot = (g * y).sum(axis=axis, keepdims=True)
     return (g - dot) * y
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along `axis`; rows sum to 1."""
-    y = _softmax(x.data.copy(), axis)
-    return _make(y, (x,), lambda g: (_softmax_grad(g, y, axis),))
 
 
 def attention_probs(q: Tensor, k: Tensor, s: float, mask: np.ndarray | None = None) -> Tensor:
@@ -330,18 +297,6 @@ def attention_probs(q: Tensor, k: Tensor, s: float, mask: np.ndarray | None = No
         return gq, gk
 
     return _make(y, (q, k), bw)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatchError(
-            f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}"
-        )
-    out, norm_grads = _normalize(x.data.copy(), gain.data, bias.data, eps)
-    # a closure of this op's own, so the recorded node carries its name
-    return _make(out, (x, gain, bias), lambda g: norm_grads(g))
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor,
@@ -442,11 +397,6 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # shape plumbing
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = x.shape
-    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:

@@ -149,7 +149,7 @@ def _warn_cut(*groups: tuple[str, list[list[int]], int]) -> None:
             if (n := sum(len(ids) > max_len - 2 for ids in seqs))]
     if cuts:
         warnings.warn(f"cut {' and '.join(cuts)} ids (BOS and EOS included); "
-                      f"the cut tokens are not trained on", stacklevel=3)
+                      "the cut tokens are not read", stacklevel=3)
 
 
 def encode_pairs(examples, vocab: Vocabulary, cfg: TrainConfig) -> list[tuple[list[int], list[int]]]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_ops as ref
 from conftest import DATA_DIR
 from gradcheck import fd_grad_components, rel_err
 from warmsum import tensor as T
@@ -81,39 +82,35 @@ def _op_cases(rng):
     causal_mask = np.triu(np.full((5, 5), -1e9), k=1) + key_mask
     w2255 = rng.normal(size=(2, 2, 5, 5))
 
-    def dot(t, w):
-        flat = T.reshape(t, (1, int(np.prod(t.shape))))
-        return T.sum_all(T.matmul(flat, T.Tensor(np.asarray(w).reshape(-1, 1))))
-
     return [
-        ("matmul", [x34, y42], lambda: T.sum_all(T.matmul(x34, y42))),
-        ("matmul_batched", [b234, b245], lambda: T.sum_all(T.matmul(b234, b245))),
-        ("matmul_stacked", [b234, y42], lambda: T.sum_all(T.matmul(b234, y42))),
-        ("add", [x34], lambda: dot(T.add(x34, T.Tensor(w34)), w34)),
-        ("add_bias", [b234, bias], lambda: dot(T.add(b234, bias), w234)),
-        ("add_const", [x34], lambda: dot(T.add_const(x34, w34), w34)),
-        ("scale", [x34], lambda: dot(T.scale(x34, -1.7), w34)),
-        ("softmax", [x34], lambda: dot(T.softmax(x34, axis=-1), w34)),
+        ("matmul", [x34, y42], lambda: ref.sum_all(T.matmul(x34, y42))),
+        ("matmul_batched", [b234, b245], lambda: ref.sum_all(T.matmul(b234, b245))),
+        ("matmul_stacked", [b234, y42], lambda: ref.sum_all(T.matmul(b234, y42))),
+        ("add", [x34], lambda: ref.dot(ref.add(x34, T.Tensor(w34)), w34)),
+        ("add_bias", [b234, bias], lambda: ref.dot(ref.add(b234, bias), w234)),
+        ("add_const", [x34], lambda: ref.dot(ref.add_const(x34, w34), w34)),
+        ("scale", [x34], lambda: ref.dot(ref.scale(x34, -1.7), w34)),
+        ("softmax", [x34], lambda: ref.dot(ref.softmax(x34, axis=-1), w34)),
         ("layer_norm", [x34, gain, bias],
-         lambda: dot(T.layer_norm(x34, gain, bias, eps=1e-8), w34)),
-        ("gelu", [x34], lambda: dot(T.gelu(x34), w34)),
+         lambda: ref.dot(ref.layer_norm(x34, gain, bias, eps=1e-8), w34)),
+        ("gelu", [x34], lambda: ref.dot(T.gelu(x34), w34)),
         ("dropout", [x34],
-         lambda: dot(T.dropout(x34, 0.35, np.random.default_rng(1234)), w34)),
-        ("embedding_lookup", [table], lambda: T.sum_all(T.embedding_lookup(table, ids))),
-        ("position_lookup", [table], lambda: dot(T.position_lookup(table, 1, 2, 4), w234)),
+         lambda: ref.dot(T.dropout(x34, 0.35, np.random.default_rng(1234)), w34)),
+        ("embedding_lookup", [table], lambda: ref.sum_all(T.embedding_lookup(table, ids))),
+        ("position_lookup", [table], lambda: ref.dot(T.position_lookup(table, 1, 2, 4), w234)),
         ("cross_entropy", [logit], lambda: T.cross_entropy(logit, targets, ignore_id=-1)),
         ("reshape_transpose", [b234],
-         lambda: dot(T.transpose(T.reshape(b234, (2, 12)), (1, 0)), w122)),
-        ("sum_all", [b234], lambda: T.sum_all(b234)),
-        ("linear", [b234, w44, bias], lambda: dot(T.linear(b234, w44, bias), w234)),
-        ("split_heads", [b234], lambda: dot(T.split_heads(b234, 2), w234)),
-        ("merge_heads", [q], lambda: dot(T.merge_heads(q), w2234)),
+         lambda: ref.dot(T.transpose(ref.reshape(b234, (2, 12)), (1, 0)), w122)),
+        ("sum_all", [b234], lambda: ref.sum_all(b234)),
+        ("linear", [b234, w44, bias], lambda: ref.dot(T.linear(b234, w44, bias), w234)),
+        ("split_heads", [b234], lambda: ref.dot(T.split_heads(b234, 2), w234)),
+        ("merge_heads", [q], lambda: ref.dot(T.merge_heads(q), w2234)),
         ("attention_probs", [q, k],
-         lambda: dot(T.attention_probs(q, k, 0.5, key_mask), w2235)),
+         lambda: ref.dot(T.attention_probs(q, k, 0.5, key_mask), w2235)),
         ("attention_probs_causal", [q5, k5],
-         lambda: dot(T.attention_probs(q5, k5, 0.5, causal_mask), w2255)),
+         lambda: ref.dot(T.attention_probs(q5, k5, 0.5, causal_mask), w2255)),
         ("add_layer_norm", [b234, x2344, gain, bias],
-         lambda: dot(T.add_layer_norm(b234, x2344, gain, bias, eps=1e-8), w234)),
+         lambda: ref.dot(T.add_layer_norm(b234, x2344, gain, bias, eps=1e-8), w234)),
     ]
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import warmsum.experiment as experiment
-from warmsum.assembly import load_checkpoint
+from warmsum.assembly import AssemblyMode, assemble, load_checkpoint
 from warmsum.cli import main
 from warmsum.errors import CheckpointError, DataError
 from warmsum.experiment import (CellResult, CorpusSettings, ExperimentConfig, ModelSettings,
@@ -23,6 +23,7 @@ from warmsum.experiment import (CellResult, CorpusSettings, ExperimentConfig, Mo
                                 config_to_json, encoder_quality_text, load_results,
                                 pretraining_lines, run_experiment)
 from warmsum.corpus import load_jsonl, split
+from warmsum.model import ModelConfig
 from warmsum.synthetic import SyntheticSettings, generate_corpus, word_inventory
 from warmsum.tokenizer import encode, load_vocab, train_bpe
 from warmsum.training import (TrainConfig, _mlm_documents, encode_pairs, evaluate_mlm,
@@ -163,6 +164,21 @@ def test_default_config_frames_every_document_without_a_warning():
         for examples in splits.values():
             _mlm_documents(experiment.pretraining_lines(examples), vocab, cfg.pretrain)
             encode_pairs(examples, vocab, cfg.finetune)
+
+
+def test_test_decoding_warns_when_the_window_cuts_a_body():
+    vocab = train_bpe(["mot hai ba bon nam sau bay tam chin muoi"] * 3, 60)
+    body = "mot hai ba bon nam sau bay tam chin muoi"
+    assert len(encode(body, vocab).ids) == 10
+    cfg = ExperimentConfig()
+    cfg = dataclasses.replace(cfg, finetune=dataclasses.replace(cfg.finetune, max_src_len=6))
+    model_cfg = ModelConfig(vocab.size, 16, 2, 32, 1, 1, 16, 0.0)
+    ckpt = assemble(None, AssemblyMode.RND2RND, model_cfg, seed=0)
+    with pytest.warns(UserWarning) as record:
+        experiment._decode_test(cfg, ckpt, [body], vocab)
+    assert [str(w.message) for w in record] == [
+        "cut 1 of 1 bodies to the window of 6 ids (BOS and EOS included); "
+        "the cut tokens are not read"]
 
 
 def test_results_table_rendering():

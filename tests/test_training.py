@@ -1,11 +1,13 @@
 import ctypes
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import reference_ops
+import reference_ops as ref
+from test_acceptance import _op_cases
 from warmsum import tensor as T
 from warmsum.assembly import AssemblyMode, assemble, fresh_params, save_checkpoint_bytes
 from warmsum.corpus import CorpusExample
@@ -62,32 +64,6 @@ def test_adam_rejects_nan_gradient_naming_parameter():
         adam_step(state, 0.1)
 
 
-def _chain_ops():
-    """The fused tensor ops, each written as the chain of primitive ops it replaces."""
-    def linear(x, w, b):
-        return T.add(T.matmul(x, w), b)
-
-    def split_heads(x, n_heads):
-        b, l, d = x.shape
-        return T.transpose(T.reshape(x, (b, l, n_heads, d // n_heads)), (0, 2, 1, 3))
-
-    def merge_heads(x):
-        b, h, l, dh = x.shape
-        return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, l, h * dh))
-
-    def attention_probs(q, k, s, mask=None):
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), s)
-        if mask is not None:
-            scores = T.add_const(scores, mask)
-        return T.softmax(scores, axis=-1)
-
-    def add_layer_norm(x, y, gain, bias, eps):
-        return T.layer_norm(T.add(x, y), gain, bias, eps)
-
-    return {"linear": linear, "split_heads": split_heads, "merge_heads": merge_heads,
-            "attention_probs": attention_probs, "add_layer_norm": add_layer_norm}
-
-
 def _per_tensor_adam(params, m, v, step, lr):
     """Adam one parameter tensor at a time, as it ran before the arena."""
     names = sorted(params)
@@ -104,14 +80,6 @@ def _per_tensor_adam(params, m, v, step, lr):
         v[n] = BETA2 * v.get(n, 0.0) + (1.0 - BETA2) * g * g
         params[n].data -= lr * (m[n] / bc1) / (np.sqrt(v[n] / bc2) + ADAM_EPS)
         params[n].grad = None
-
-
-def _reference_kernels(patch):
-    """The primitive op chains in place of the fused ops, and the frozen plain
-    expressions in place of the kernels that evaluate them in place."""
-    for name, fn in _chain_ops().items():
-        patch.setattr(T, name, fn)
-    reference_ops.install(patch)
 
 
 def _arena_update(states):
@@ -162,7 +130,7 @@ def test_fused_ops_and_arena_train_bit_identically_to_primitive_ops(monkeypatch)
     states = []
     fused, fused_losses = _train_steps(_arena_update(states))
     with monkeypatch.context() as patch:
-        _reference_kernels(patch)
+        ref.install(patch)
         reference, reference_losses = _train_steps(_reference_update)
     assert fused_losses == reference_losses
     assert fused_losses[-1] < fused_losses[0]
@@ -201,7 +169,7 @@ def _train_mlm_steps(update, steps=8, seed=5):
 def test_fused_ops_and_arena_pretrain_bit_identically_to_primitive_ops(monkeypatch):
     fused, fused_losses = _train_mlm_steps(_arena_update([]))
     with monkeypatch.context() as patch:
-        _reference_kernels(patch)
+        ref.install(patch)
         reference, reference_losses = _train_mlm_steps(_reference_update)
     assert fused_losses == reference_losses
     assert fused_losses[-1] < fused_losses[0]
@@ -217,10 +185,48 @@ def test_fused_ops_decode_bit_identically_to_primitive_ops(monkeypatch, beam_siz
     srcs = [[BOS, *data.integers(5, 24, size=n), EOS] for n in (9, 2, 6, 13, 4)]
     fused = search(model, srcs, beam_size, 8)
     with monkeypatch.context() as patch:
-        _reference_kernels(patch)
+        ref.install(patch)
         reference = search(model, srcs, beam_size, 8)
     assert [(h.ids, h.logprob) for h in fused] == [(h.ids, h.logprob) for h in reference]
     assert len({h.logprob for h in fused}) == len(srcs)  # each source scores its own
+
+
+def _recorded_ops(monkeypatch, run):
+    """The ops that record nodes while `run` runs, each named as the benchmark's
+    spans name it: by its backward closure's qualified name up to the first dot."""
+    names = set()
+    record = T.Tape.record
+
+    def named_record(tape, out, inputs, backward_fn):
+        names.add(backward_fn.__qualname__.split(".", 1)[0])
+        record(tape, out, inputs, backward_fn)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(T.Tape, "record", named_record)
+        run()
+    return names
+
+
+def test_every_library_op_has_a_gradient_case_and_training_records_only_library_ops(
+        monkeypatch):
+    exported = {name for name, fn in vars(T).items() if inspect.isfunction(fn)
+                and fn.__module__ == T.__name__ and not name.startswith("_")}
+    exported -= {"backward", "recording"}
+
+    def gradient_cases():
+        for _, _, build in _op_cases(np.random.default_rng(0)):
+            with T.Tape():
+                build()
+
+    def training_steps():
+        _train_steps(_arena_update([]), steps=1)
+        _train_mlm_steps(_arena_update([]), steps=1)
+
+    cased = _recorded_ops(monkeypatch, gradient_cases)
+    trained = _recorded_ops(monkeypatch, training_steps)
+    assert exported <= cased, f"ops with no A1 case: {sorted(exported - cased)}"
+    assert trained and trained <= exported, \
+        f"training records ops that warmsum.tensor does not export: {sorted(trained - exported)}"
 
 
 def _libc_has_mallopt() -> bool:
@@ -314,9 +320,9 @@ def test_a_short_window_warns_once_with_the_number_of_documents_cut(recwarn):
     encode_pairs(examples, vocab, cfg)
     assert [str(w.message) for w in recwarn] == [
         "cut 2 of 4 documents to the window of 6 ids (BOS and EOS included); "
-        "the cut tokens are not trained on",
+        "the cut tokens are not read",
         "cut 2 of 5 bodies to the window of 6 and 3 of 5 abstracts to the window of 4 ids "
-        "(BOS and EOS included); the cut tokens are not trained on"]
+        "(BOS and EOS included); the cut tokens are not read"]
     recwarn.clear()
     encode_pairs(examples[:1], vocab, TrainConfig(max_src_len=6, max_tgt_len=6))
     assert not recwarn  # nothing cut, nothing said
@@ -514,7 +520,7 @@ def test_finetune_rejects_empty_splits(copy_task_setup):
 def test_non_finite_loss_names_the_phase_and_step(monkeypatch, chain_setup, copy_task_setup):
     for cls in (EncoderMlm, EncoderDecoderModel):
         monkeypatch.setattr(cls, "forward_loss", lambda self, *ids, loss=cls.forward_loss:
-                            T.scale(loss(self, *ids), math.nan))
+                            ref.scale(loss(self, *ids), math.nan))
     lines, vocab, model_cfg = chain_setup
     cfg = TrainConfig(total_steps=3, warmup_steps=1, batch_size=8, max_src_len=24)
     with pytest.raises(NumericError, match="^non-finite MLM loss at step 1$"):
