@@ -1,11 +1,25 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-Storage is row-major numpy float64. A tensor holds its data, its gradient
-and the tape that recorded it. Every differentiable operation is a
-module-level function that computes the forward value and, while a Tape is
-active, records one node with its backward rule. Backward replays the tape
-in reverse recording order, which visits each recorded node exactly once, and
-fills the `grad` of every tensor that fed a node on the loss's path.
+Storage is row-major numpy float64. A tensor holds its data, its gradient and
+the tape that recorded it. Every differentiable operation is a module-level
+function that computes the forward value and, while a Tape is active, records
+one node: a gradient slot for its output, where its inputs' gradients go, and
+its backward rule.
+
+The tape holds only what backward reads, and backward lets go of it as it
+walks:
+
+- a backward rule keeps the arrays it reads and, of tensors, only parameters;
+  the tape holds no op output, so an output that no rule kept (a sublayer
+  output fed to `add_layer_norm`, the product before `merge_heads`, the
+  logits) is freed as soon as the model drops it;
+- backward replays the nodes in reverse recording order, which visits each
+  once, and accumulates into the `grad` of every leaf (a parameter or an
+  input) on the loss's path; an op output's gradient lives in its slot only;
+- each node, with the arrays its rule kept, and its output's gradient are
+  freed once the rule has run, so after backward only the leaves' gradients
+  remain; leaving the tape's block frees the nodes that backward did not
+  replay.
 
 Besides `Tensor`, `Tape`, `backward` and `recording`, the module exports
 only the ops that the model records: `matmul`, `transpose`, `gelu`,
@@ -51,7 +65,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 def _keep_freed_heap() -> None:
     """Ask glibc, once per process, to keep the memory that training frees.
 
-    A training step frees its whole graph when its tape's block ends. By
+    A training step frees its graph node by node as backward walks it. By
     default glibc then trims the top of the heap and unmaps large arrays, and
     the next step faults the same pages back in. Arrays up to 32 MiB (glibc's
     ceiling) now come from the heap, and up to 1 GiB of free heap stays in the
@@ -103,14 +117,38 @@ def _pin_blas_to_one_thread() -> None:
 _pin_blas_to_one_thread()
 
 
-class Tensor:
-    """A dense float64 array plus an optional gradient buffer."""
+class _GradSlot:
+    """A gradient that backward accumulates into: a leaf tensor's own, or the
+    tape's slot for one recorded op output."""
 
-    __slots__ = ("data", "grad", "_tape")
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # a C-ordered copy, as zeros + g was: -0.0 becomes +0.0, and a
+            # transposed contribution does not hand its order to later sums
+            self.grad = np.add(g, 0.0, order="C")
+        else:
+            self.grad += g
+
+
+class Tensor(_GradSlot):
+    """A dense float64 array plus an optional gradient buffer.
+
+    Only a leaf, a tensor that no op of the tape produced (a parameter or an
+    input), receives `grad` from backward. An op output's gradient lives in
+    its slot, `_slot`, which `Tape.record` sets with `_tape`; only that tape
+    reads it.
+    """
+
+    __slots__ = ("data", "_tape", "_slot")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64, order="C")
-        self.grad: np.ndarray | None = None
+        self.grad = None
         self._tape: Tape | None = None
 
     @property
@@ -124,14 +162,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a C-ordered copy, as zeros + g was: -0.0 becomes +0.0, and a
-            # transposed contribution does not hand its order to later sums
-            self.grad = np.add(g, 0.0, order="C")
-        else:
-            self.grad += g
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -140,13 +170,17 @@ class Tape:
     """Records op nodes in forward execution order; also a context manager.
 
     Only one tape may be active at a time. While it is active every op records
-    one node; with no active tape (inference) ops record nothing. Leaving the
-    `with` block drops the recorded graph, so backward runs inside the block.
-    The first tape entered sets the allocator policy of `_keep_freed_heap`.
+    one node; with no active tape (inference) ops record nothing. A node is
+    the output's gradient slot, where each input's gradient goes (a leaf's own
+    `grad`, or the slot of an output recorded earlier) and the backward rule;
+    it holds no op output. Backward frees each node as it replays it, and
+    leaving the `with` block frees the rest, so backward runs inside the
+    block. The first tape entered sets the allocator policy of
+    `_keep_freed_heap`.
     """
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self._nodes: list[tuple[_GradSlot, tuple[_GradSlot, ...], object] | None] = []
         self.replayed = False
 
     def __enter__(self) -> "Tape":
@@ -160,16 +194,17 @@ class Tape:
     def __exit__(self, *exc) -> None:
         global _ACTIVE_TAPE
         _ACTIVE_TAPE = None
-        # every output holds its tape (out._tape), so the nodes form a reference
-        # cycle that only the cyclic collector could free; emptying breaks it
         self._nodes.clear()
 
     def __len__(self) -> int:
+        """The number of nodes recorded, replayed or not, until the block ends."""
         return len(self._nodes)
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
-        out._tape = self
-        self._nodes.append((out, inputs, backward_fn))
+        slot = _GradSlot()
+        out._tape, out._slot = self, slot
+        self._nodes.append((slot, tuple(t._slot if t._tape is self else t for t in inputs),
+                            backward_fn))
 
 
 def recording() -> bool:
@@ -178,7 +213,14 @@ def recording() -> bool:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate into `grad` of every recorded ancestor of a scalar loss."""
+    """Accumulate into `grad` of every leaf that feeds a scalar loss on its tape.
+
+    Replays the nodes in reverse recording order, so each node runs after
+    every node that consumed its output. Each node, with the arrays its rule
+    kept, and its output's gradient are freed once the rule has run, so
+    memory falls as backward walks. The tape replays once, and keeps its
+    length until its block ends.
+    """
     if loss.data.ndim != 0:
         raise ShapeMismatchError(f"backward requires a scalar loss, got shape {loss.shape}")
     tape = loss._tape
@@ -187,12 +229,15 @@ def backward(loss: Tensor) -> None:
     if tape.replayed or not tape._nodes:  # a recorded loss leaves its tape nonempty until exit
         raise RuntimeError("tape already replayed or closed; record a new tape to run backward")
     tape.replayed = True
-    loss.grad = np.ones((), dtype=np.float64)
-    for out, inputs, backward_fn in reversed(tape._nodes):
-        if out.grad is None:
-            continue
-        for t, g in zip(inputs, backward_fn(out.grad)):
-            t.accumulate_grad(g)
+    loss._slot.grad = np.ones((), dtype=np.float64)
+    nodes = tape._nodes
+    for i in range(len(nodes) - 1, -1, -1):
+        slot, inputs, backward_fn = nodes[i]
+        nodes[i] = None  # not popped: len(tape) still counts the recorded nodes
+        g, slot.grad = slot.grad, None
+        if g is not None:
+            for t, gi in zip(inputs, backward_fn(g)):
+                t.accumulate_grad(gi)
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -362,9 +407,8 @@ def gelu(x: Tensor) -> Tensor:
     inner += xd
     inner *= _GELU_C
     t = np.tanh(inner, out=inner)
-    one_plus_t = 1.0 + t
     out = 0.5 * xd
-    out *= one_plus_t
+    out *= 1.0 + t
 
     def bw(g):
         # g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner), where
@@ -377,7 +421,8 @@ def gelu(x: Tensor) -> Tensor:
         rest = 0.5 * xd
         rest *= np.subtract(1.0, tt, out=tt)
         rest *= dinner
-        dx = np.multiply(one_plus_t, 0.5, out=tt)
+        dx = np.add(1.0, t, out=tt)  # the forward's 1.0 + t, recomputed rather than saved
+        dx *= 0.5
         dx += rest
         dx *= g
         return (dx,)
@@ -479,7 +524,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> T
     n_keep = int(keep.sum())
     if n_keep == 0:
         raise DataError("empty loss: every position is ignored")
-    v = logits.shape[-1]
+    shape = logits.shape  # the backward rule keeps the shape, not the logits
+    v = shape[-1]
     kept_targets = targets[keep]
     if kept_targets.min() < 0 or kept_targets.max() >= v:
         raise DataError(f"cross_entropy target id out of range [0, {v})")
@@ -502,7 +548,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int = -1) -> T
         p = e / z
         p[np.arange(n_keep), kept_targets] -= 1.0
         p *= factor
-        gl = np.full(logits.shape, 0.0 * factor)
+        gl = np.full(shape, 0.0 * factor)
         gl.reshape(-1, v)[rows] = p
         return (gl,)
 

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import weakref
 
@@ -10,7 +11,11 @@ from hypothesis import strategies as st
 import reference_ops as ref
 from gradcheck import fd_grad, rel_err
 from warmsum import tensor as T
+from warmsum.assembly import AssemblyMode, assemble, fresh_params
 from warmsum.errors import DataError, ShapeMismatchError
+from warmsum.model import EncoderDecoderModel, EncoderMlm, ModelConfig
+from warmsum.tokenizer import BOS, EOS, PAD
+from warmsum.training import OptimizerState, _mask_batch
 
 
 def analytic_grads(build, tensors):
@@ -259,6 +264,120 @@ def test_tape_frees_its_graph_when_the_block_ends():
     finally:
         gc.enable()
     assert len(tape) == 0 and x.grad is not None
+
+
+def _consume(op, out, rng):
+    """One op the model applies to a product it does not keep."""
+    if op == "add_layer_norm":
+        d = out.shape[-1]
+        return T.add_layer_norm(T.Tensor(rng.normal(size=out.shape)), out,
+                                T.Tensor(np.ones(d)), T.Tensor(np.zeros(d)))
+    if op == "merge_heads":
+        return T.merge_heads(out)
+    return T.cross_entropy(out, rng.integers(0, out.shape[-1], size=out.shape[:-1]))
+
+
+@pytest.mark.parametrize("op", ["add_layer_norm", "merge_heads", "cross_entropy"])
+def test_an_op_output_that_no_rule_captured_is_freed_during_forward(op):
+    # the sublayer output fed to add_layer_norm, attn @ v before merge_heads, the logits
+    a, b = T.Tensor(np.ones((2, 2, 3, 5))), T.Tensor(np.ones((2, 2, 5, 4)))
+    grads = []
+    gc.disable()  # only reference counting may free the output
+    try:
+        for keep in (True, False):
+            rng = np.random.default_rng(17)
+            a.data, b.data = rng.normal(size=a.shape), rng.normal(size=b.shape)
+            a.grad = b.grad = None
+            with T.Tape():
+                out = T.matmul(a, b)
+                product = weakref.ref(out.data)
+                y = _consume(op, out, rng)
+                if not keep:
+                    del out
+                    assert product() is None
+                T.backward(y if y.ndim == 0 else ref.dot(y, rng.normal(size=y.shape)))
+            grads.append((a.grad.tobytes(), b.grad.tobytes()))
+    finally:
+        gc.enable()
+    assert grads[0] == grads[1]  # the freed output's gradient still reaches its inputs
+
+
+def _captured(rule):
+    """What a backward rule holds, through the closures it calls."""
+    for cell in rule.__closure__ or ():
+        value = cell.cell_contents
+        if inspect.isfunction(value):
+            yield from _captured(value)
+        else:
+            yield value
+
+
+def _model_and_batch(kind):
+    """A model of 2-layer stacks with dropout 0.1, its arena, and one training batch."""
+    cfg = ModelConfig(vocab_size=24, d_model=16, n_heads=2, d_ff=32, n_enc_layers=2,
+                      n_dec_layers=2 if kind == "encoder_decoder" else 0, max_positions=16,
+                      dropout=0.1)
+    data = np.random.default_rng(18)
+    if kind == "encoder_decoder":
+        model = EncoderDecoderModel.from_checkpoint(
+            assemble(None, AssemblyMode.RND2RND, cfg, seed=18))
+        src, tgt = data.integers(5, 24, size=(3, 9)), data.integers(5, 24, size=(3, 6))
+        src[:, 0], src[:, -1], tgt[:, 0], tgt[:, -1] = BOS, EOS, BOS, EOS
+        src[1, 5:], tgt[2, 4:] = PAD, PAD
+        tgt[2, 3] = EOS
+    else:
+        params = {n: T.Tensor(a) for n, a in fresh_params(cfg, "encoder_mlm", 18).items()}
+        model = EncoderMlm(cfg, params)
+        src, tgt = _mask_batch(data.integers(5, 24, size=(3, 9)), 24, 0.3, data)
+    state = OptimizerState(model.params)
+    return model, state, src, tgt
+
+
+@pytest.mark.parametrize("kind", ["encoder_decoder", "encoder_mlm"])
+def test_backward_frees_every_saved_array_and_intermediate_gradient(monkeypatch, kind):
+    model, state, src, tgt = _model_and_batch(kind)
+    with monkeypatch.context() as patch:
+        ref.install(patch)
+        model.train(np.random.default_rng(19))
+        with T.Tape():
+            T.backward(model.forward_loss(src, tgt))
+    expected = state.grad.copy()
+    state.zero_grad()
+
+    intermediate = []
+    accumulate = T._GradSlot.accumulate_grad
+
+    def probed(slot, g):
+        accumulate(slot, g)
+        if not isinstance(slot, T.Tensor):
+            intermediate.append(weakref.ref(slot.grad))
+
+    monkeypatch.setattr(T._GradSlot, "accumulate_grad", probed)
+    params = {id(p) for p in model.params.values()}
+    model.train(np.random.default_rng(19))
+    gc.disable()  # only reference counting may free the graph
+    try:
+        with T.Tape() as tape:
+            loss = model.forward_loss(src, tgt)
+            saved = []
+            for _, _, rule in tape._nodes:
+                for value in _captured(rule):
+                    if isinstance(value, T.Tensor):
+                        assert id(value) in params, f"{rule.__qualname__} holds an op output"
+                    elif isinstance(value, np.ndarray) and not any(
+                            np.shares_memory(value, held) for held in (state.data, src, tgt)):
+                        saved.append(weakref.ref(value))
+            del rule, value  # the test's own references
+            recorded = len(tape)
+            T.backward(loss)
+            assert len(tape) == recorded
+            assert saved and all(r() is None for r in saved)
+            assert intermediate and all(r() is None for r in intermediate)
+    finally:
+        gc.enable()
+    # leaves still hold their gradients, as views of the arena
+    assert all(np.shares_memory(p.grad, state.grad) for p in model.params.values())
+    assert state.grad.tobytes() == expected.tobytes()
 
 
 def test_backward_after_the_block_ends_errors():

@@ -238,8 +238,8 @@ def _libc_has_mallopt() -> bool:
 
 @pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
 def test_training_steps_keep_freed_memory_in_the_process():
-    # the warm-start benchmark's MLM shapes; every step frees its graph when
-    # its tape's block ends, and the next step must not fault the pages back in
+    # the warm-start benchmark's MLM shapes; every step frees its graph as
+    # backward walks it, and the next step must not fault the pages back in
     import resource
 
     cfg = ModelConfig(vocab_size=256, d_model=32, n_heads=4, d_ff=64, n_enc_layers=1,
@@ -265,6 +265,40 @@ def test_training_steps_keep_freed_memory_in_the_process():
         step(*batch)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 1000, f"20 training steps made {faults} minor page faults"
+
+
+def test_a_training_step_peaks_near_its_forward_memory():
+    # the vietnamese-long benchmark's fine-tuning shapes: backward frees each
+    # node as it runs, so the step's peak stays near what the forward left
+    # live; a tape that held every output and gradient to the end of the block
+    # peaked at 33.0 MiB, 85% above its forward
+    import gc
+    import tracemalloc
+
+    cfg = ModelConfig(vocab_size=512, d_model=32, n_heads=4, d_ff=64, n_enc_layers=2,
+                      n_dec_layers=2, max_positions=128, dropout=0.0)
+    model = EncoderDecoderModel.from_checkpoint(assemble(None, AssemblyMode.RND2RND, cfg, seed=1))
+    OptimizerState(model.params)
+    rng = np.random.default_rng(0)
+    src, tgt = rng.integers(5, 512, size=(8, 90)), rng.integers(5, 512, size=(8, 14))
+    src[:, 0], src[:, -1], tgt[:, 0], tgt[:, -1] = BOS, EOS, BOS, EOS
+    with T.Tape():
+        T.backward(model.forward_loss(src, tgt))  # warm-up
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with T.Tape():
+            loss = model.forward_loss(src, tgt)
+            forward = tracemalloc.get_traced_memory()[0] - base
+            T.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    mib = 2**20
+    assert peak <= 1.1 * forward, f"step peak {peak / mib:.2f} MiB, forward {forward / mib:.2f} MiB"
+    assert peak <= 33.0 * mib / 2, f"step peak {peak / mib:.2f} MiB"
 
 
 def test_lr_schedule_shape():
