@@ -6,12 +6,12 @@ over (assembly mode, seed) cells. Each stage writes its artifact under the
 output directory unless it is there, and later stages read it back, on a
 fresh run as on a resumed one; the table is byte-identical across reruns.
 
-Pretraining and the cells run in a pool of forked worker processes, one per
-usable core: the RND2RND cells, which need no encoder, run while the encoder
-pretrains, and the warm cells start once it is done. A stage cut short by a
-dead worker runs again alone. Stages that a profiler replaced by closures
-cannot be sent to a worker; they run in one thread of this process instead.
-A failed cell's error.txt, written here, is the one record of how it ended.
+Pretraining and each cell run in a forked process of their own, at most one
+per usable core: the RND2RND cells, which need no encoder, run while the
+encoder pretrains, and the warm cells start once it is done. A process that
+dies fails its own stage only. Stages that a profiler replaced by closures
+run one after another in the calling thread instead. A failed cell's
+error.txt, written here, is the one record of how it ended.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -421,21 +422,19 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
     write_atomic(scores_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def _pool_size(tasks: int) -> int:
-    """One worker per usable core, and never more than `tasks`: a fork pool
-    starts all of its workers at once."""
+def _cores() -> int:
+    """The usable cores: a run keeps at most this many stage processes."""
     try:
-        cores = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, tasks))
+        return os.cpu_count() or 1
 
 
 def _init_worker(parent: int) -> None:
     """Ctrl-C reaches the whole process group, and the parent alone acts on
-    it; SIGTERM, which the parent sends to stop a worker, ends it even where
-    the worker inherited a handler for it, and the kernel sends it when the
-    parent dies, even by SIGKILL, where the C library has `prctl`."""
+    it; SIGTERM, which the parent sends to stop a stage, ends it even where
+    the stage's process inherited a handler for it, and the kernel sends it
+    when the parent dies, even by SIGKILL, where the C library has `prctl`."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     with suppress(OSError, TypeError, AttributeError):  # no C library handle, or no prctl
@@ -450,12 +449,22 @@ def _init_worker(parent: int) -> None:
 _ENCODER = "encoder"  # pretraining, a stage beside the (mode, seed) cells
 
 
-def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
-    # imported here, so that processes which never run an experiment (the
-    # staged CLI, decoding) do not hold the pool's modules
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+def _outcome(fn, args):
+    """None if fn(*args) returns, else the error it raised and its traceback."""
+    try:
+        fn(*args)
+    except Exception as e:  # the stage's own record; the other stages go on
+        return e, traceback.format_exc()
+    return None
 
+
+def _stage(send, parent: int, fn, args) -> None:
+    """The body of a stage's process: run the stage, send its outcome home."""
+    _init_worker(parent)
+    send.send(_outcome(fn, args))
+
+
+def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg_path = out / "config.json"
@@ -473,66 +482,65 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     warm = [c for c in cells if COPIED_PREFIXES[AssemblyMode(c[0])]]
     # pretraining first; the cells that need no encoder run meanwhile
     stages = [_ENCODER] * bool(warm) + [c for c in cells if c not in warm] + warm
-    futures = {}  # a stage's future carries only its error; its result is its file
-
-    def submit(pool, stage):
-        if stage in warm:
-            futures[_ENCODER].result()  # a pretraining error propagates
-        fn, args = (_prepare_encoder, ()) if stage == _ENCODER else (_run_cell, stage)
-        futures[stage] = pool.submit(fn, cfg, out, *args, model_cfg, splits, vocab)
-
-    def cut_short(stage):  # by a dead worker, or kept from starting
-        return stage not in futures or isinstance(futures[stage].exception(), BrokenProcessPool)
-
-    try:  # a stage that a profiler replaced by a closure cannot go to a worker
+    try:  # a profiler's closures cannot be pickled
         pickle.dumps((_prepare_encoder, _run_cell))
         forked = True
     except (pickle.PicklingError, AttributeError, TypeError):
-        forked = False
+        forked = False  # so every stage runs in this thread, where the profiler is
+    results = {}  # a stage's outcome: None, or its error and traceback
+    running = {}  # a stage's process and the read end of its pipe
 
-    def new_pool(workers):
-        if not forked:  # one thread of this process, so the profiler sees a serial run
-            return ThreadPoolExecutor(1)
-        # forked workers start without importing numpy again; a fork pool forks
-        # them all at the first submit, from this thread (CPython 3.11), whose
-        # end is the parent's death that PR_SET_PDEATHSIG watches
-        return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_init_worker, initargs=(os.getpid(),))
+    def collect():  # the outcome of each stage whose process sent one or ended
+        # a process that sends a long traceback is read while it writes
+        ready = multiprocessing.connection.wait(
+            [x for process, reader in running.values() for x in (process.sentinel, reader)])
+        for stage, (process, reader) in list(running.items()):
+            if process.sentinel in ready or reader in ready:
+                if reader in ready:
+                    with suppress(EOFError):  # a process that died sent nothing
+                        results[stage] = reader.recv()
+                process.join()
+                del running[stage]
+                if stage not in results:  # -N is death by signal N
+                    name = "pretraining" if stage == _ENCODER else "cell {} seed {}".format(*stage)
+                    results[stage] = RuntimeError(f"the process of {name} ended with "
+                                                  f"exit code {process.exitcode}"), ""
+                elif stage == _ENCODER and results[stage]:
+                    raise results[stage][0]  # a pretraining error stops the run
 
-    callers = multiprocessing.active_children()  # the caller's own: not the run's to stop
-    pool = new_pool(_pool_size(len(stages)))
     try:
-        with suppress(BrokenProcessPool):  # a worker died
-            for stage in stages:
-                submit(pool, stage)
-        pool.shutdown()  # wait for the running stages
-        # what a dead worker cut short runs again alone, one stage at a time,
-        # so only a stage that kills its own worker fails
-        for stage in filter(cut_short, stages):
-            pool = new_pool(1)
-            try:
-                submit(pool, stage)
-            except BrokenProcessPool:  # pretraining killed its own worker
-                futures[stage] = futures[_ENCODER]
-            pool.shutdown()
-    except BaseException:  # an error, Ctrl-C or SIGTERM: stop now; a rerun resumes
-        pool.shutdown(wait=False, cancel_futures=True)
-        workers = [p for p in multiprocessing.active_children() if p not in callers]
-        for worker in workers:
-            worker.terminate()
-        for worker in workers:
-            worker.join()
-        raise
+        for stage in stages:
+            # at most one process per usable core; a warm cell waits for pretraining
+            while len(running) >= _cores() or stage in warm and _ENCODER not in results:
+                collect()
+            fn, args = (_prepare_encoder, ()) if stage == _ENCODER else (_run_cell, stage)
+            args = (cfg, out, *args, model_cfg, splits, vocab)
+            if stage in warm and results[_ENCODER]:  # pretraining's process died
+                results[stage] = results[_ENCODER]
+            elif not forked:  # a pretraining error propagates
+                results[stage] = fn(*args) if stage == _ENCODER else _outcome(fn, args)
+            else:  # forked, so numpy is not imported again
+                reader, writer = multiprocessing.Pipe(duplex=False)
+                process = multiprocessing.get_context("fork").Process(
+                    target=_stage, args=(writer, os.getpid(), fn, args))
+                process.start()
+                running[stage] = process, reader
+                writer.close()
+        while running:
+            collect()
+    finally:  # an error, Ctrl-C or SIGTERM: stop the stages now; a rerun resumes
+        for process, _ in running.values():
+            process.terminate()
+        for process, _ in running.values():
+            process.join()
 
     for mode, seed in cells:
-        try:
-            futures[mode, seed].result()
-        except Exception as e:  # record the diagnostic, keep other cells going
+        if results[mode, seed]:  # record the diagnostic
+            error, trace = results[mode, seed]
             cell = out / "cells" / f"{mode}_s{seed}"
             cell.mkdir(parents=True, exist_ok=True)
-            message = f"{type(e).__name__}: {e}".splitlines()[0]  # the table's row
-            write_atomic(cell / "error.txt", f"cell {mode} seed {seed}\n{message}\n"
-                         + traceback.format_exc())
+            message = f"{type(error).__name__}: {error}".splitlines()[0]  # the table's row
+            write_atomic(cell / "error.txt", f"cell {mode} seed {seed}\n{message}\n" + trace)
 
     table = load_results(out)
     write_atomic(out / "results.txt", table.render_text())

@@ -17,6 +17,7 @@ import pytest
 import reference_ops as ref
 from conftest import DATA_DIR
 from gradcheck import fd_grad_components, rel_err
+from test_experiment import _warmsum_env
 from warmsum import tensor as T
 from warmsum.assembly import (AssemblyMode, assemble, load_checkpoint,
                               load_checkpoint_bytes, save_checkpoint_bytes)
@@ -399,7 +400,7 @@ def test_a7_stats_golden():
         [sys.executable, "-m", "warmsum", "stats",
          "--corpus", str(DATA_DIR / "mini_corpus.jsonl"),
          "--ratios", "0.6,0.2,0.2", "--seed", "13", "--name", "mini_corpus"],
-        capture_output=True, cwd=Path(__file__).resolve().parent.parent)
+        capture_output=True, env=_warmsum_env(), cwd=Path(__file__).resolve().parent.parent)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == golden, "stats output differs from the committed golden file"
 

@@ -15,12 +15,12 @@ from warmsum.corpus import load_jsonl
 from warmsum.experiment import (ExperimentConfig, config_from_json, config_to_json,
                                 encoder_quality_text)
 
-from test_experiment import tiny_config
+from test_experiment import _warmsum_env, tiny_config
 
 
 def run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "warmsum", *map(str, args)],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, env=_warmsum_env(),
                           cwd=Path(__file__).resolve().parent.parent)
     return proc.returncode, proc.stdout, proc.stderr
 

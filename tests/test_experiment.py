@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import json
 import multiprocessing
@@ -7,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from contextlib import contextmanager
@@ -293,27 +293,51 @@ def test_windows_must_fit_the_positions(section, change, name):
                                                                  **change)})
 
 
-# -- the process pool -----------------------------------------------------------
+# -- the stages' processes -------------------------------------------------------
 
 
-def test_pool_never_has_more_workers_than_tasks(tmp_path, monkeypatch):
+def _count_stage_processes(monkeypatch, notes):
+    """Make each stage's process note its pid in `notes`, and in `notes`/live
+    how many of the noted processes are running as it starts."""
+    init_worker = experiment._init_worker
+    notes.mkdir()
+
+    def noting_init(parent):
+        (notes / str(os.getpid())).touch()
+        running = [p for p in notes.glob("[0-9]*") if _running(int(p.name))]
+        with open(notes / "live", "a") as f:
+            f.write(f"{len(running)}\n")
+        init_worker(parent)
+
+    monkeypatch.setattr(experiment, "_init_worker", noting_init)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(sys.platform != "linux", reason="reads process states from /proc")
+def test_a_run_never_has_more_stage_processes_than_cores(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert [experiment._pool_size(n) for n in (1, 3, 64, 100)] == [1, 3, 64, 64]
+    assert experiment._cores() == 64
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert [experiment._pool_size(n) for n in (1, 10, 100)] == [1, 10, 64]
+    monkeypatch.setattr(os, "cpu_count", lambda: 48)
+    assert experiment._cores() == 48
+    monkeypatch.undo()
 
-    # one RND2RND cell is one task, so the run forks one worker on a 64-core host
-    sizes = []
+    for cores in (1, 2):
+        monkeypatch.setattr(experiment, "_cores", lambda: cores)
+        _count_stage_processes(monkeypatch, tmp_path / f"notes{cores}")
+        table = run_experiment(tiny_config(tmp_path / f"runs{cores}"))
+        assert len(table.rows) == 4
+        live = [int(n) for n in (tmp_path / f"notes{cores}" / "live").read_text().split()]
+        # pretraining and four cells; with two cores, a cell runs beside pretraining
+        assert len(live) == 5 and max(live) == cores, cores
+        monkeypatch.undo()
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    table = run_experiment(tiny_config(tmp_path / "runs", modes=("RND2RND",), seeds=(1,)))
-    assert sizes == [1] and len(table.rows) == 1
+    # one RND2RND cell is one stage, so the run starts one process on a 64-core host
+    monkeypatch.setattr(experiment, "_cores", lambda: 64)
+    _count_stage_processes(monkeypatch, tmp_path / "notes64")
+    table = run_experiment(tiny_config(tmp_path / "runs64", modes=("RND2RND",), seeds=(1,)))
+    assert len(table.rows) == 1
+    assert (tmp_path / "notes64" / "live").read_text() == "1\n"
 
 
 def _cells_failing_in_a_worker(monkeypatch, failing, fail):
@@ -423,17 +447,44 @@ def test_a_dead_worker_fails_its_cells_not_the_run(tmp_path, monkeypatch, stage)
     table = run_experiment(cfg)
     assert multiprocessing.active_children() == []
     failed = {(mode, seed) for mode, seed, _ in table.failures}
-    assert failed == dead  # the cells its death cut short ran again
+    assert failed == dead  # no other stage is lost
     assert sorted(failed | {(r.mode, r.seed) for r in table.rows}) == \
         sorted((m, s) for m in cfg.modes for s in cfg.seeds)
+    row = "RuntimeError: the process of {} ended with exit code 1".format(
+        "cell WARM2WARM seed 2" if stage == "cell" else "pretraining")
     for mode, seed, message in table.failures:
-        assert message.startswith("BrokenProcessPool: ")
+        assert message == row
         error = (out / "cells" / f"{mode}_s{seed}" / "error.txt").read_text()
-        assert error.startswith(f"cell {mode} seed {seed}\n") and "BrokenProcessPool" in error
+        assert error.startswith(f"cell {mode} seed {seed}\n{row}\n")
     assert (out / "results.txt").read_text() == table.render_text()
 
 
-# `warmsum run --config cfg.json` on two workers, with every cell's assembly
+@pytest.mark.slow
+def test_a_dead_worker_costs_no_other_stage(tmp_path, monkeypatch):
+    """Each cell's assembly starts once, also the warm cell that runs beside
+    the one whose process dies."""
+    starts = tmp_path / "starts"
+    assemble = experiment.assemble
+
+    def noted_assemble(encoder, mode, model_cfg, seed, **kwargs):
+        with open(starts, "a") as f:
+            f.write(f"{mode.value} {seed}\n")
+        if (mode.value, seed) == ("WARM2WARM", 2):
+            deadline = time.monotonic() + 30  # die while WARM2WARM 1 runs, given two cores
+            while "WARM2WARM 1" not in starts.read_text() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            os._exit(1)
+        return assemble(encoder, mode, model_cfg, seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "assemble", noted_assemble)
+    cfg = tiny_config(tmp_path / "runs")
+    table = run_experiment(cfg)
+    assert [(mode, seed) for mode, seed, _ in table.failures] == [("WARM2WARM", 2)]
+    assert sorted(starts.read_text().splitlines()) == \
+        sorted(f"{m} {s}" for m in cfg.modes for s in cfg.seeds)
+
+
+# `warmsum run --config cfg.json` on two cores, with every cell's assembly
 # slowed by a minute; a cell announces its start with a file in `started/`
 _SLOW_RUN = """
 import os, sys, time
@@ -441,7 +492,7 @@ from pathlib import Path
 import warmsum.experiment as experiment
 from warmsum.cli import main
 
-pool_size, assemble = experiment._pool_size, experiment.assemble
+assemble = experiment.assemble
 
 def slow_assemble(*args, **kwargs):
     Path("started", str(os.getpid())).touch()
@@ -449,7 +500,7 @@ def slow_assemble(*args, **kwargs):
     return assemble(*args, **kwargs)
 
 Path("started").mkdir()
-experiment._pool_size = lambda tasks: min(2, pool_size(tasks))
+experiment._cores = lambda: 2
 experiment.assemble = slow_assemble
 sys.exit(main(["run", "--config", "cfg.json"]))
 """
@@ -471,7 +522,7 @@ def _slow_run(run_dir):
                                 env=_warmsum_env(), start_new_session=True, stderr=stderr)
     try:
         deadline = time.monotonic() + 120
-        # two cells started: pretraining is done, and the parent waits on the pool
+        # two cells started: pretraining is done, and the parent waits on them
         while len(list((run_dir / "started").glob("*"))) < 2:
             assert proc.poll() is None, (run_dir / "stderr.txt").read_text()
             assert time.monotonic() < deadline, "no cell started"
@@ -573,6 +624,46 @@ def test_a_stopped_run_leaves_the_callers_own_children_running(tmp_path):
     finally:
         child.terminate()
         child.join()
+
+
+def test_a_stopped_run_leaves_a_child_started_meanwhile_running(tmp_path, monkeypatch):
+    """A child that the caller starts from another thread while the run is
+    under way is the caller's, not the run's, to stop."""
+    marks = tmp_path / "marks"
+    marks.mkdir()
+
+    def pretrain_then_fail(*args):  # waits, in its process, for the caller's child
+        (marks / "pretraining").touch()
+        deadline = time.monotonic() + 30
+        while not (marks / "child").exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        raise DataError("no encoder")
+
+    children = []
+
+    def start_a_child():
+        deadline = time.monotonic() + 30
+        while not (marks / "pretraining").exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        children.append(multiprocessing.get_context("fork").Process(target=time.sleep,
+                                                                    args=(60,)))
+        children[0].start()
+        (marks / "child").touch()
+
+    monkeypatch.setattr(experiment, "pretrain_mlm", pretrain_then_fail)
+    caller = threading.Thread(target=start_a_child)
+    caller.start()
+    try:
+        with pytest.raises(DataError, match="no encoder"):
+            run_experiment(tiny_config(tmp_path / "runs", modes=("WARM2WARM",), seeds=(1,)))
+        caller.join(timeout=30)
+        assert not caller.is_alive() and children[0].is_alive()
+        assert multiprocessing.active_children() == children  # no stage's process is left
+    finally:
+        caller.join(timeout=30)
+        for child in children:
+            child.terminate()
+            child.join()
 
 
 @pytest.mark.slow
