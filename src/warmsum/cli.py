@@ -20,7 +20,7 @@ from .errors import DataError, NumericError
 from .experiment import (ExperimentConfig, config_to_json, encoder_quality_text, load_config,
                          load_results, pretraining_lines, run_experiment, tokenizer_lines)
 from .fileio import read_lines, write_atomic
-from .rouge import corpus_rouge, pair_rouge
+from .rouge import mean_rouge, pair_rouge
 from .training import MetricsLog, finetune, pretrain_mlm
 
 
@@ -111,7 +111,8 @@ def _cmd_evaluate(args) -> int:
     if len(cands) != len(refs):
         raise DataError(f"candidate file has {len(cands)} lines, "
                         f"reference file has {len(refs)}")
-    scores = corpus_rouge(list(zip(cands, refs)))
+    per_pair = [pair_rouge(cand, ref) for cand, ref in zip(cands, refs)]
+    scores = mean_rouge(per_pair)
     print(f"{'metric':<8} {'precision':>10} {'recall':>10} {'f1':>10}")
     for name in ("rouge1", "rouge2", "rougeL"):
         s = scores[name]
@@ -119,8 +120,8 @@ def _cmd_evaluate(args) -> int:
               f"{s.f1 * 100:>10.2f}")
     if args.csv:
         lines = ["line,metric,precision,recall,f1"]
-        for i, (cand, ref) in enumerate(zip(cands, refs)):
-            for name, sc in pair_rouge(cand, ref).items():
+        for i, pair in enumerate(per_pair):
+            for name, sc in pair.items():
                 lines.append(f"{i},{name},{sc.precision:.6f},{sc.recall:.6f},{sc.f1:.6f}")
         for name in ("rouge1", "rouge2", "rougeL"):
             s = scores[name]

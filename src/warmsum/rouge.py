@@ -1,7 +1,7 @@
 """Exact ROUGE-1 / ROUGE-2 / ROUGE-L with precision, recall and F1.
 
 ROUGE-N uses clipped n-gram counts; ROUGE-L uses the longest common
-subsequence computed by O(|a|*|b|) dynamic programming. Texts are scored
+subsequence, computed bit-parallel over Python ints. Texts are scored
 on their whitespace-separated words with case kept: no lowercasing, no
 stemming, no stopword removal. Degenerate inputs score zero rather than
 raising.
@@ -10,6 +10,7 @@ raising.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -39,21 +40,30 @@ def rouge_n(candidate: list, reference: list, n: int) -> RougeScore:
         raise DataError(f"rouge_n needs n >= 1, got {n}")
     cand = _ngrams(candidate, n)
     ref = _ngrams(reference, n)
-    overlap = sum(min(c, ref[g]) for g, c in cand.items())
+    overlap = sum((cand & ref).values())
     return _score(overlap, sum(cand.values()), sum(ref.values()))
 
 
 def lcs_length(a: list, b: list) -> int:
-    """Length of the longest common subsequence."""
+    """Length of the longest common subsequence of two lists of hashable tokens.
+
+    Bit-parallel (Allison & Dix 1986, in Hyyro's 2004 form): bit j of `v`
+    stands for position j of `b`, and each token of `a` updates every column
+    of the dynamic-programming row at once with one add, one subtract and
+    their or. The row's zero bits count the LCS, the same integer the
+    O(|a|*|b|) table gives.
+    """
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
+    matches: dict = {}
+    for j, y in enumerate(b):
+        matches[y] = matches.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+        u = v & matches.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: list, reference: list) -> RougeScore:
@@ -68,15 +78,20 @@ def pair_rouge(candidate: str, reference: str) -> dict[str, RougeScore]:
             "rougeL": rouge_l(cand, ref)}
 
 
-def corpus_rouge(pairs: list[tuple[str, str]]) -> dict[str, RougeScore]:
-    """Unweighted means of per-pair p/r/f1 for rouge1, rouge2 and rougeL."""
-    if not pairs:
-        raise DataError("corpus_rouge needs at least one (candidate, reference) pair")
+def mean_rouge(scores: Iterable[dict[str, RougeScore]]) -> dict[str, RougeScore]:
+    """Unweighted means of per-pair p/r/f1, summed in pair order."""
     sums = {k: [0.0, 0.0, 0.0] for k in ("rouge1", "rouge2", "rougeL")}
-    for cand_text, ref_text in pairs:
-        for key, score in pair_rouge(cand_text, ref_text).items():
+    n = 0
+    for n, pair in enumerate(scores, start=1):
+        for key, score in pair.items():
             sums[key][0] += score.precision
             sums[key][1] += score.recall
             sums[key][2] += score.f1
-    n = len(pairs)
+    if not n:
+        raise DataError("ROUGE needs at least one (candidate, reference) pair")
     return {k: RougeScore(s[0] / n, s[1] / n, s[2] / n) for k, s in sums.items()}
+
+
+def corpus_rouge(pairs: Iterable[tuple[str, str]]) -> dict[str, RougeScore]:
+    """Unweighted means of per-pair p/r/f1 for rouge1, rouge2 and rougeL."""
+    return mean_rouge(pair_rouge(cand, ref) for cand, ref in pairs)

@@ -58,25 +58,22 @@ import numpy as np
 from .errors import DataError, ShapeMismatchError
 
 _ACTIVE_TAPE: "Tape | None" = None
-_HEAP_POLICY_SET = False
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
 def _keep_freed_heap() -> None:
-    """Ask glibc, once per process, to keep the memory that training frees.
+    """Ask glibc to keep the memory that the process frees; called once, at import.
 
-    A training step frees its graph node by node as backward walks it. By
+    A training step frees its graph node by node as backward walks it, and
+    each encoder pass of a decoding chunk frees its attention temporaries. By
     default glibc then trims the top of the heap and unmaps large arrays, and
-    the next step faults the same pages back in. Arrays up to 32 MiB (glibc's
-    ceiling) now come from the heap, and up to 1 GiB of free heap stays in the
-    process. Setting the trim threshold alone would turn off glibc's dynamic
-    mmap threshold, so arrays of 128 KiB and more would be mapped anew on every
+    the next step or chunk faults the same pages back in. Arrays up to 32 MiB
+    (glibc's ceiling) now come from the heap, and up to 1 GiB of free heap
+    stays in the process: that is the price any process that imports warmsum
+    pays. Setting the trim threshold alone would turn off glibc's dynamic mmap
+    threshold, so arrays of 128 KiB and more would be mapped anew on every
     step. Where the C library has no `mallopt`, or refuses it, nothing changes.
     """
-    global _HEAP_POLICY_SET
-    if _HEAP_POLICY_SET:
-        return
-    _HEAP_POLICY_SET = True
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # no C library handle, or no mallopt
@@ -115,6 +112,7 @@ def _pin_blas_to_one_thread() -> None:
 
 
 _pin_blas_to_one_thread()
+_keep_freed_heap()
 
 
 class _GradSlot:
@@ -175,8 +173,8 @@ class Tape:
     `grad`, or the slot of an output recorded earlier) and the backward rule;
     it holds no op output. Backward frees each node as it replays it, and
     leaving the `with` block frees the rest, so backward runs inside the
-    block. The first tape entered sets the allocator policy of
-    `_keep_freed_heap`.
+    block. The allocator policy that keeps the freed graph's pages in the
+    process is set at import, by `_keep_freed_heap`.
     """
 
     def __init__(self):
@@ -187,7 +185,6 @@ class Tape:
         global _ACTIVE_TAPE
         if _ACTIVE_TAPE is not None:
             raise RuntimeError("a tape is already active; tapes do not nest")
-        _keep_freed_heap()
         _ACTIVE_TAPE = self
         return self
 

@@ -398,6 +398,26 @@ def test_evaluate_splits_its_files_at_newlines_only(tmp_path, capsys):
     assert sorted({row.split(",")[0] for row in rows}) == ["0", "1", "aggregate"]
 
 
+def test_evaluate_scores_each_pair_once_and_aggregates_as_corpus_rouge(tmp_path, monkeypatch):
+    import warmsum.cli as cli
+    import warmsum.rouge as rouge
+
+    cands = ["con mèo ngủ trên ghế", "bản tin sáng", "a b a b c"]
+    refs = ["con mèo ngủ", "bản tin sáng nay", "b a b c a"]
+    expected = [f"aggregate,{name},{s.precision:.6f},{s.recall:.6f},{s.f1:.6f}"
+                for name, s in rouge.corpus_rouge(list(zip(cands, refs))).items()]
+    cand, ref, csv = tmp_path / "cand.txt", tmp_path / "ref.txt", tmp_path / "scores.csv"
+    cand.write_text("\n".join(cands) + "\n", encoding="utf-8")
+    ref.write_text("\n".join(refs) + "\n", encoding="utf-8")
+    scored, pair_rouge = [], rouge.pair_rouge
+    for module in (cli, rouge):  # wherever `evaluate` reaches it from
+        monkeypatch.setattr(module, "pair_rouge", lambda c, r: scored.append(c) or pair_rouge(c, r))
+    assert main(["evaluate", "--candidates", str(cand), "--references", str(ref),
+                 "--csv", str(csv)]) == 0
+    assert scored == cands
+    assert csv.read_text(encoding="utf-8").splitlines()[-3:] == expected
+
+
 FITS_16 = {"pretrain": {"max_src_len": 16}, "finetune": {"max_src_len": 16}}
 
 

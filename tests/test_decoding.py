@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,9 @@ from warmsum.decoding import (BANNED_GENERATION_IDS, BeamHypothesis, adjusted_sc
 from warmsum.errors import DataError
 from warmsum.model import EncoderDecoderModel, ModelConfig
 from warmsum.tokenizer import BOS, EOS, PAD
+
+from test_experiment import _warmsum_env
+from test_training import _libc_has_mallopt
 
 
 def random_model(seed, vocab_size=12, max_positions=16, layers=1):
@@ -278,3 +284,38 @@ def test_beam_validates_arguments():
         beam_search(model, [BOS, EOS], beam_size=0, max_len=4)
     with pytest.raises(DataError):
         beam_search(model, [BOS, EOS], beam_size=2, max_len=0)
+
+
+# the synthetic-decode benchmark's model and source lengths; the child process
+# decodes only, so no tape has run in it
+_DECODE_FAULTS = """
+import resource
+import numpy as np
+from warmsum.assembly import AssemblyMode, assemble
+from warmsum.decoding import greedy_decode_batch
+from warmsum.model import EncoderDecoderModel, ModelConfig
+from warmsum.tokenizer import BOS, EOS
+cfg = ModelConfig(vocab_size=88, d_model=32, n_heads=4, d_ff=64, n_enc_layers=2,
+                  n_dec_layers=2, max_positions=64, dropout=0.0)
+model = EncoderDecoderModel.from_checkpoint(assemble(None, AssemblyMode.RND2RND, cfg, seed=1))
+rng = np.random.default_rng(0)
+chunks = [[[BOS, *rng.integers(5, 88, size=rng.integers(14, 27)).tolist(), EOS]
+           for _ in range(32)] for _ in range(12)]
+for chunk in chunks[:2]:
+    greedy_decode_batch(model, chunk, 10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for chunk in chunks[2:]:
+    greedy_decode_batch(model, chunk, 10)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="the C library has no mallopt")
+def test_a_process_that_only_decodes_keeps_freed_memory():
+    # each chunk's encoder pass frees [32, 4, L, L] attention temporaries; under
+    # glibc's default policy the next chunk faulted them back in (about 20,000
+    # faults over these 10 chunks)
+    proc = subprocess.run([sys.executable, "-c", _DECODE_FAULTS], capture_output=True,
+                          text=True, env=_warmsum_env(), check=True)
+    faults = int(proc.stdout.split()[-1])
+    assert faults < 1000, f"10 decoding chunks made {faults} minor page faults"

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,6 +45,26 @@ def brute_force_lcs(a, b):
 def _is_subsequence(sub, seq):
     it = iter(seq)
     return all(x in it for x in sub)
+
+
+def dp_lcs_length(a, b):
+    """LCS length by the O(|a|*|b|) dynamic-programming table: `lcs_length`'s reference."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def min_sum_overlap(cand, ref, n):
+    """Clipped n-gram overlap as the sum over grams of the smaller count: `rouge_n`'s reference."""
+    cand_grams = Counter(tuple(cand[i:i + n]) for i in range(len(cand) - n + 1))
+    ref_grams = Counter(tuple(ref[i:i + n]) for i in range(len(ref) - n + 1))
+    return sum(min(c, ref_grams[g]) for g, c in cand_grams.items())
 
 
 # -- hand-derived fixtures ----------------------------------------------------
@@ -137,6 +158,23 @@ def test_f1_definition_holds(a, b):
        st.lists(st.sampled_from("abc"), min_size=0, max_size=6))
 def test_lcs_matches_brute_force(a, b):
     assert lcs_length(a, b) == brute_force_lcs(a, b)
+
+
+# few distinct ids over long lists, so tokens repeat, and a list can span
+# more than one 64-bit word of `lcs_length`'s bit row
+repeating = st.lists(st.integers(0, 5), min_size=0, max_size=90)
+
+
+@settings(deadline=None, max_examples=300)
+@given(repeating, repeating)
+def test_bit_parallel_lcs_and_counter_overlap_equal_the_old_integers(a, b):
+    assert lcs_length(a, b) == dp_lcs_length(a, b)
+    for n in (1, 2, 3):
+        s = rouge_n(a, b, n)
+        n_cand, n_ref = max(len(a) - n + 1, 0), max(len(b) - n + 1, 0)
+        overlap = min_sum_overlap(a, b, n)
+        assert (s.precision, s.recall) == (overlap / n_cand if n_cand else 0.0,
+                                           overlap / n_ref if n_ref else 0.0)
 
 
 def test_clipped_ngrams_match_naive_recomputation():
