@@ -176,8 +176,8 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     base_commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     worktree = Path(tempfile.mkdtemp(prefix="bench-base-")) / "tree"
-    _git("worktree", "add", "--detach", str(worktree), base_commit)
     try:
+        _git("worktree", "add", "--detach", str(worktree), base_commit)
         trees = {"base": worktree, "change": ROOT}
         report = {
             "tag": args.tag,
