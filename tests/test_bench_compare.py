@@ -44,23 +44,46 @@ def test_a_gain_in_nine_of_ten_pairs_past_the_base_iqr_is_better():
 
 
 def test_a_difference_inside_the_base_iqr_is_within_noise():
-    base, change = [1.0, 2.0, 3.0, 4.0, 5.0], [1.5, 2.5, 3.5, 4.5, 5.5]
+    base, change = [10.0, 11.0, 12.0, 13.0, 14.0], [10.5, 11.5, 12.5, 13.5, 14.5]
     m = bench_compare.compare_metric(list(zip(base, change)), "lower", 0.25)
-    assert m["base_iqr"] == 2.0 and m["within_noise"]
+    assert m["base_iqr"] == 2.0 and m["within_noise"] and not m["base_iqr_exceeds_bound"]
     assert m["change_better_in"] == 0 and m["verdict"] == "within noise"
 
 
-def test_worse_is_judged_against_the_bound_even_inside_the_noise():
+def test_worse_is_judged_against_the_bound():
     base, change = [10.0, 10.0, 10.0], [11.0, 11.0, 11.0]
     assert bench_compare.compare_metric(list(zip(base, change)), "lower",
                                         0.25)["verdict"] == "worse, inside bound"
     assert bench_compare.compare_metric(list(zip(base, change)), "lower",
                                         0.05)["verdict"] == "worse beyond bound"
-    wide = [(5.0, 13.0), (10.0, 13.0), (20.0, 13.0)]  # IQR 7.5 covers the 3.0 rise
-    assert bench_compare.compare_metric(wide, "lower", 0.25)["verdict"] == "worse beyond bound"
     # for a metric where higher is better, a fall is the worse direction
     m = bench_compare.compare_metric([(50.0, 40.0)] * 3, "higher", 0.15)
     assert m["change_better_in"] == 0 and m["verdict"] == "worse beyond bound"
+
+
+def test_a_base_iqr_wider_than_the_bound_leaves_the_metric_unresolved():
+    wide = [(5.0, 13.0), (10.0, 13.0), (20.0, 13.0)]  # IQR 7.5 > 0.25 x median 10
+    m = bench_compare.compare_metric(wide, "lower", 0.25)
+    assert m["base_iqr_exceeds_bound"] and m["verdict"] == "unresolved"
+    wide = [(5.0, 6.0), (10.0, 9.0), (20.0, 19.0)]  # 3 of 3 pairs, medians 1.0 apart
+    assert bench_compare.compare_metric(wide, "lower", 0.25)["verdict"] == "unresolved"
+    # unless every change run beats every base run, with the medians past the IQR
+    apart = [(5.0, 1.0), (10.0, 1.5), (20.0, 2.0)]
+    m = bench_compare.compare_metric(apart, "lower", 0.25)
+    assert m["base_iqr_exceeds_bound"] and m["verdict"] == "better"
+    # an IQR equal to the bound still resolves
+    m = bench_compare.compare_metric([(9.0, 8.0), (10.0, 9.0), (14.0, 13.0)], "lower", 0.25)
+    assert m["base_iqr"] == 2.5 and not m["base_iqr_exceeds_bound"]
+    assert m["verdict"] == "within noise"
+
+
+def test_a_gain_with_a_larger_failed_share_is_not_better():
+    pairs = [(2.8, 2.3), (2.7, 2.2), (2.9, 2.4), (2.8, 2.3)]
+    m = bench_compare.compare_metric(pairs, "lower", 0.25, {"base": 0.0, "change": 0.01})
+    assert m["change_better_in"] == 4
+    assert m["verdict"] == "better, but more operations failed"
+    m = bench_compare.compare_metric(pairs, "lower", 0.25, {"base": 0.02, "change": 0.01})
+    assert m["verdict"] == "better"
 
 
 def test_aggregate_keeps_rounds_correctness_and_failures_per_side():
@@ -73,6 +96,7 @@ def test_aggregate_keeps_rounds_correctness_and_failures_per_side():
     w = bench_compare.aggregate(runs, END_TO_END)
     assert w["metrics"]["round_s"]["pairs"] == 3  # the broken pair is left out
     assert w["metrics"]["round_s"]["change_better_in"] == 3
+    assert w["metrics"]["round_s"]["verdict"] == "better, but more operations failed"
     assert w["metrics"]["rougeL"]["verdict"] == "within noise"
     assert w["rounds_per_run"] == {"base": [4, 4, 4, 0], "change": [5, 5, 5, 5]}
     assert w["correct"] == {"base": False, "change": True}
