@@ -70,20 +70,24 @@ def _cmd_assemble(args) -> int:
 
 
 def _config_and_checkpoint(args):
-    """The command's config and checkpoint, refused unless the config's windows fit."""
+    """The command's config, checkpoint and vocabulary, refused unless the config's
+    windows and the vocabulary's size fit the checkpoint."""
     cfg, ckpt = load_config(args.config), load_checkpoint(args.ckpt)
     try:
         experiment.check_windows(cfg, ckpt.config.max_positions, "its max_positions")
     except DataError as e:
         raise DataError(f"config {args.config} does not fit checkpoint {args.ckpt}: {e}") from None
-    return cfg, ckpt
+    vocab = tok.load_vocab(args.vocab)
+    if vocab.size != ckpt.config.vocab_size:
+        raise DataError(f"vocabulary {args.vocab} has {vocab.size} tokens, but checkpoint "
+                        f"{args.ckpt} has vocab_size {ckpt.config.vocab_size}")
+    return cfg, ckpt, vocab
 
 
 def _cmd_finetune(args) -> int:
-    cfg, ckpt = _config_and_checkpoint(args)
+    cfg, ckpt, vocab = _config_and_checkpoint(args)
     ft_cfg = cfg.finetune if args.seed is None else dataclasses.replace(cfg.finetune,
                                                                         seed=args.seed)
-    vocab = tok.load_vocab(args.vocab)
     train_set = corpus_mod.load_jsonl(args.train)
     dev_set = corpus_mod.load_jsonl(args.dev)
     log = MetricsLog(args.log) if args.log else None
@@ -97,8 +101,7 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    cfg, ckpt = _config_and_checkpoint(args)
-    vocab = tok.load_vocab(args.vocab)
+    cfg, ckpt, vocab = _config_and_checkpoint(args)
     outs = experiment._decode_test(cfg, ckpt, read_lines(args.input), vocab)
     write_atomic(args.out, "".join(out + "\n" for out in outs))
     print(f"wrote {len(outs)} summaries -> {args.out}")

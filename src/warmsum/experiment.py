@@ -44,8 +44,8 @@ from .fileio import write_atomic
 from .model import EncoderDecoderModel, ModelConfig
 from .rouge import corpus_rouge
 from .synthetic import SyntheticSettings, generate_corpus
-from .training import (MetricsLog, TrainConfig, _warn_cut, evaluate_mlm, finetune, frame_ids,
-                       pretrain_mlm, unigram_entropy)
+from .training import (MetricsLog, PretrainConfig, TrainConfig, _warn_cut, evaluate_mlm,
+                       finetune, frame_ids, pretrain_mlm, unigram_entropy)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,9 @@ class ExperimentConfig:
     model: ModelSettings = ModelSettings()
     # windows hold whole documents: body_max + lead_k + 2 for a pretraining
     # "body abstract" document, body_max + 2 and lead_k + 2 for a pair
-    pretrain: TrainConfig = TrainConfig(learning_rate=3e-3, total_steps=2000,
-                                        batch_size=16, max_src_len=34, seed=0)
+    pretrain: PretrainConfig = PretrainConfig(learning_rate=3e-3, warmup_steps=100,
+                                              total_steps=2000, batch_size=16,
+                                              max_src_len=34, seed=0)
     # 500 steps is half the budget at which RND2RND catches up with the warm
     # starts (see the README): the benchmark measures the supervision-scarce regime
     finetune: TrainConfig = TrainConfig(learning_rate=1e-3, total_steps=500,
@@ -126,6 +127,9 @@ class ExperimentConfig:
     output_dir: str = "runs/experiment"
 
     def __post_init__(self):
+        if isinstance(self.pretrain, TrainConfig):  # config.json would hold an unread key
+            raise DataError("pretrain must be a PretrainConfig, not a TrainConfig: "
+                            "pretraining reads no max_tgt_len")
         if not self.seeds or min(self.seeds) < 0:
             raise DataError(f"seeds must be a nonempty list of non-negative integers, "
                             f"got {list(self.seeds)}")

@@ -150,9 +150,8 @@ def encode(text: str, vocab: Vocabulary) -> TokenSequence:
     return TokenSequence(ids)
 
 
-def decode(seq: TokenSequence | list[int], vocab: Vocabulary) -> str:
+def decode(ids: list[int], vocab: Vocabulary) -> str:
     """Inverse of encode modulo UNK; strips PAD/BOS/EOS."""
-    ids = list(seq.ids if isinstance(seq, TokenSequence) else seq)
     pieces = []
     for i in ids:
         if not 0 <= i < vocab.size:
@@ -177,24 +176,26 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    """Read the layout save_vocab writes: the mode line is the last line and the
+    merges follow the last `#MERGES` line before it, so a token or a merge that
+    starts with a marker reads as one."""
     raw = read_lines(path)
-    try:
-        merge_at = raw.index("#MERGES")
+    if not raw or not raw[-1].startswith("#PRETOKENIZE"):
+        raise DataError(f"{path}: missing #PRETOKENIZE line at the end")
+    mode = raw[-1][len("#PRETOKENIZE"):].strip()
+    if mode != "whitespace":
+        raise DataError(f"{path}: unknown pretokenize mode {mode!r}")
+    try:  # a merge line holds a space, so no merge reads as the section marker
+        merge_at = len(raw) - 2 - raw[-2::-1].index("#MERGES")
     except ValueError:
         raise DataError(f"{path}: missing #MERGES section") from None
-    tokens = raw[:merge_at]
     merges = []
-    for line in raw[merge_at + 1:]:
-        if line.startswith("#PRETOKENIZE"):
-            mode = line[len("#PRETOKENIZE"):].strip()
-            if mode != "whitespace":
-                raise DataError(f"{path}: unknown pretokenize mode {mode!r}")
-            continue
+    for line in raw[merge_at + 1:-1]:
         parts = line.split(" ")
         if len(parts) != 2:
             raise DataError(f"{path}: malformed merge line {line!r}")
         merges.append((parts[0], parts[1]))
     try:
-        return Vocabulary(tokens, merges)
+        return Vocabulary(raw[:merge_at], merges)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None

@@ -32,29 +32,42 @@ MLM_MASK_PROB = 0.15  # share of maskable tokens that MLM corruption selects
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class PretrainConfig:
+    """What an MLM pretraining run reads."""
     learning_rate: float = 3e-4
     warmup_steps: int = 100
     total_steps: int = 1000
     batch_size: int = 8
     max_src_len: int = 64
-    max_tgt_len: int = 24
     seed: int = 0
 
     def __post_init__(self):
+        what = type(self).__name__
         for name in ("warmup_steps", "total_steps", "batch_size"):
             if not getattr(self, name) > 0:
-                raise DataError(f"TrainConfig.{name} must be positive")
-        for name in ("max_src_len", "max_tgt_len"):  # a window holds at least BOS and EOS
-            if not getattr(self, name) >= 2:
-                raise DataError(f"TrainConfig.{name} must be at least 2")
+                raise DataError(f"{what}.{name} must be positive")
+        self._check_window("max_src_len")
         if self.learning_rate < 0:  # zero is allowed: a no-op run must stay bit-identical
-            raise DataError("TrainConfig.learning_rate must be non-negative")
+            raise DataError(f"{what}.learning_rate must be non-negative")
         if self.seed < 0:  # PCG64 takes no negative seed
-            raise DataError(f"TrainConfig.seed must be non-negative, got {self.seed}")
+            raise DataError(f"{what}.seed must be non-negative, got {self.seed}")
+
+    def _check_window(self, name: str) -> None:
+        if not getattr(self, name) >= 2:  # a window holds at least BOS and EOS
+            raise DataError(f"{type(self).__name__}.{name} must be at least 2")
 
 
-def lr_at(step: int, cfg: TrainConfig) -> float:
+@dataclass(frozen=True)
+class TrainConfig(PretrainConfig):
+    """Fine-tuning's config: pretraining's, and the target window."""
+    max_tgt_len: int = 24
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._check_window("max_tgt_len")
+
+
+def lr_at(step: int, cfg: PretrainConfig) -> float:
     """Linear warmup to learning_rate, then linear decay to zero; step is 1-based."""
     if step <= cfg.warmup_steps:
         return cfg.learning_rate * step / cfg.warmup_steps
@@ -178,7 +191,7 @@ class MetricsLog:
                 f.write(f"{step},{split},{loss:.6f},{'' if rouge is None else f'{rouge:.6f}'}\n")
 
 
-def _train_step(model, state: OptimizerState, cfg: TrainConfig, step: int,
+def _train_step(model, state: OptimizerState, cfg: PretrainConfig, step: int,
                 rng: np.random.Generator, loss_of, what: str) -> float:
     """Tape `loss_of()` and its backward in train mode, then Adam at `lr_at(step)`;
     returns the loss. A non-finite loss or gradient raises before any parameter moves."""
@@ -222,7 +235,7 @@ def _mask_batch(batch: np.ndarray, vocab_size: int, prob: float,
     return corrupted, targets
 
 
-def _mlm_documents(lines: list[str], vocab: Vocabulary, cfg: TrainConfig) -> list[list[int]]:
+def _mlm_documents(lines: list[str], vocab: Vocabulary, cfg: PretrainConfig) -> list[list[int]]:
     """Framed id sequences of the nonblank lines that hold at least one token;
     warns once if the window cuts any of them."""
     docs = [ids for line in lines if line.strip() and (ids := encode(line, vocab).ids)]
@@ -232,7 +245,7 @@ def _mlm_documents(lines: list[str], vocab: Vocabulary, cfg: TrainConfig) -> lis
 
 
 def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,
-                 cfg: TrainConfig, log: MetricsLog | None = None) -> Checkpoint:
+                 cfg: PretrainConfig, log: MetricsLog | None = None) -> Checkpoint:
     """Train an encoder with the masked-token objective on raw text lines."""
     seqs = _mlm_documents(lines, vocab, cfg)
     if len(seqs) < cfg.batch_size:
@@ -263,7 +276,7 @@ def pretrain_mlm(lines: list[str], vocab: Vocabulary, model_cfg: ModelConfig,
 
 
 def evaluate_mlm(ckpt: Checkpoint, lines: list[str], vocab: Vocabulary,
-                 cfg: TrainConfig) -> tuple[float, float]:
+                 cfg: PretrainConfig) -> tuple[float, float]:
     """Masked-token loss (nats) and accuracy of an MLM encoder on held-out lines.
 
     Lines are framed and corrupted as in pretraining, with masking drawn from
@@ -288,7 +301,7 @@ def evaluate_mlm(ckpt: Checkpoint, lines: list[str], vocab: Vocabulary,
     return total / count, correct / count
 
 
-def unigram_entropy(lines: list[str], vocab: Vocabulary, cfg: TrainConfig) -> float:
+def unigram_entropy(lines: list[str], vocab: Vocabulary, cfg: PretrainConfig) -> float:
     """Entropy (nats) of the maskable tokens in the framed lines.
 
     This is the masked-token loss of a model that knows only token

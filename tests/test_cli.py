@@ -246,6 +246,8 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
      "unknown keys in config.decoding: ['max_len']"),
     ('{"decoding": {"length_penalty_alpha": 1.0}, "output_dir": "OUT"}',
      "unknown keys in config.decoding: ['length_penalty_alpha']"),
+    ('{"pretrain": {"max_tgt_len": 24}, "output_dir": "OUT"}',
+     "unknown keys in config.pretrain: ['max_tgt_len']"),
     # cross-field checks run when the config is built
     ('{"corpus": {"synthetic": {"body_min": 4}}, "output_dir": "OUT"}',
      "config.corpus.synthetic: need lead_k <= body_min <= body_max, got 8/4/24"),
@@ -261,7 +263,9 @@ def test_vocab_without_pretokenize_mode_exits_2(tmp_path, capsys):
      "decoding beam_size must be an integer >= 1, got 0"),
     # seeds that PCG64 refuses, and values that would mis-run without an error
     ('{"pretrain": {"seed": -1}, "output_dir": "OUT"}',
-     "config.pretrain: TrainConfig.seed must be non-negative, got -1"),
+     "config.pretrain: PretrainConfig.seed must be non-negative, got -1"),
+    ('{"finetune": {"seed": -1}, "output_dir": "OUT"}',
+     "config.finetune: TrainConfig.seed must be non-negative, got -1"),
     ('{"corpus": {"synthetic": {"seed": -1}}, "output_dir": "OUT"}',
      "config.corpus.synthetic: seed must be non-negative, got -1"),
     ('{"corpus": {"synthetic": {"n_words": 0}}, "output_dir": "OUT"}',
@@ -580,4 +584,25 @@ def test_config_windows_must_fit_the_checkpoint(tmp_path, capsys, generate_args,
     err = capsys.readouterr().err
     assert (f"config {config} does not fit checkpoint {tmp_path / 'm.ckpt'}: "
             "pretrain.max_src_len is 34, more than its max_positions 16") in err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "finetune"])
+def test_a_vocabulary_of_another_size_than_the_checkpoint_exits_2(tmp_path, capsys,
+                                                                  generate_args, command):
+    from warmsum.tokenizer import load_vocab, save_vocab, train_bpe
+
+    vocab, other = tmp_path / "vocab.txt", tmp_path / "other_vocab.txt"
+    save_vocab(train_bpe(["ba lo mì ke ba lo mì ke"], 40), other)
+    sizes = load_vocab(vocab).size, load_vocab(other).size
+    assert sizes[0] != sizes[1]
+    bodies, pairs = tmp_path / "in.txt", tmp_path / "pairs.jsonl"
+    bodies.write_text("ba lo mì ke\n", encoding="utf-8")
+    pairs.write_text('{"body": "ba lo mì ke", "abstract": "ba ke"}\n' * 8, encoding="utf-8")
+    common = [str(other) if arg == str(vocab) else arg for arg in generate_args[1:]]
+    argv = {"generate": ["generate", *common, "--input", str(bodies)],
+            "finetune": ["finetune", *common, "--train", str(pairs), "--dev", str(pairs)]}[command]
+    assert main(argv) == 2
+    assert (f"vocabulary {other} has {sizes[1]} tokens, but checkpoint {tmp_path / 'm.ckpt'} "
+            f"has vocab_size {sizes[0]}") in capsys.readouterr().err
     assert not (tmp_path / "out.txt").exists()

@@ -26,8 +26,8 @@ from warmsum.corpus import load_jsonl, split
 from warmsum.model import ModelConfig
 from warmsum.synthetic import SyntheticSettings, generate_corpus, word_inventory
 from warmsum.tokenizer import encode, load_vocab, train_bpe
-from warmsum.training import (TrainConfig, _mlm_documents, encode_pairs, evaluate_mlm,
-                              unigram_entropy)
+from warmsum.training import (PretrainConfig, TrainConfig, _mlm_documents, encode_pairs,
+                              evaluate_mlm, unigram_entropy)
 
 
 def tiny_config(output_dir, modes=("RND2RND", "WARM2WARM"), seeds=(1, 2)):
@@ -39,8 +39,8 @@ def tiny_config(output_dir, modes=("RND2RND", "WARM2WARM"), seeds=(1, 2)):
         tokenizer=TokenizerSettings(target_vocab_size=120),
         model=ModelSettings(d_model=16, n_heads=2, d_ff=32, n_enc_layers=1,
                             n_dec_layers=1, max_positions=32, dropout=0.0),
-        pretrain=TrainConfig(learning_rate=1e-2, total_steps=60, warmup_steps=10,
-                             batch_size=8, max_src_len=20, seed=0),
+        pretrain=PretrainConfig(learning_rate=1e-2, total_steps=60, warmup_steps=10,
+                                batch_size=8, max_src_len=20, seed=0),
         finetune=TrainConfig(learning_rate=3e-3, total_steps=60, warmup_steps=10,
                              batch_size=8, max_src_len=20, max_tgt_len=10),
         modes=modes,
@@ -137,6 +137,13 @@ def test_config_validates_modes_and_seeds(tmp_path):
         tiny_config(tmp_path, modes=("RND2BOGUS",))
     with pytest.raises(DataError):
         tiny_config(tmp_path, seeds=())
+
+
+def test_config_refuses_a_fine_tuning_config_for_pretraining():
+    # pretraining reads no target window, so config.json must not print one
+    with pytest.raises(DataError, match="pretrain must be a PretrainConfig, not a TrainConfig"):
+        ExperimentConfig(pretrain=TrainConfig(max_src_len=34))
+    assert "max_tgt_len" not in json.loads(config_to_json(ExperimentConfig()))["pretrain"]
 
 
 def _default_splits_and_vocab(cfg: ExperimentConfig):

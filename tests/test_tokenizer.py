@@ -58,8 +58,8 @@ def test_specials_occupy_first_five_ids(mini_vocab):
 
 def test_round_trip_on_mini_corpus(mini_lines, mini_vocab):
     for line in mini_lines:
-        seq = tok.encode(line, mini_vocab)
-        assert tok.decode(seq, mini_vocab) == tok.normalize_text(line)
+        ids = tok.encode(line, mini_vocab).ids
+        assert tok.decode(ids, mini_vocab) == tok.normalize_text(line)
 
 
 def test_word_cache_keeps_ids_equality_and_repr(mini_lines):
@@ -83,9 +83,9 @@ def test_word_cache_keeps_ids_equality_and_repr(mini_lines):
 
 def test_unknown_symbol_becomes_unk():
     vocab = tok.train_bpe(["ab ab abc"], 30)
-    seq = tok.encode("abz", vocab)
-    assert tok.UNK in seq.ids
-    assert tok.decode(seq, vocab) == "ab<unk>"
+    ids = tok.encode("abz", vocab).ids
+    assert tok.UNK in ids
+    assert tok.decode(ids, vocab) == "ab<unk>"
 
 
 def test_encode_bos_eos_framing(mini_vocab):
@@ -111,7 +111,7 @@ def test_prefix_stability_under_whitespace_pretokenization(mini_lines, mini_voca
 
 
 def test_decode_empty_sequence(mini_vocab):
-    assert tok.decode(tok.TokenSequence([]), mini_vocab) == ""
+    assert tok.decode([], mini_vocab) == ""
 
 
 def test_decode_out_of_range_id(mini_vocab):
@@ -151,12 +151,22 @@ def test_every_merge_result_is_a_vocabulary_entry(mini_vocab):
         assert a + b in mini_vocab.token_to_id
 
 
+# words that start with a marker of the vocabulary file give tokens and merges that do too
+MARKER_WORD_VOCABS = {"#MERGES": (["#MERGES x"] * 5 + ["ab cd"], 40),
+                      "#PRETOKENIZE": (["#PRETOKENIZE x"] * 5 + ["ab cd"], 60)}
+
+
 def test_vocab_file_round_trip(mini_vocab, tmp_path):
+    vocabs = [mini_vocab]
+    for marker, (corpus, size) in MARKER_WORD_VOCABS.items():
+        vocabs.append(tok.train_bpe(corpus, size))
+        assert marker in vocabs[-1].token_to_id and (marker, tok.WORD_END) in vocabs[-1].merges
     path = tmp_path / "vocab.txt"
-    tok.save_vocab(mini_vocab, path)
-    loaded = tok.load_vocab(path)
-    assert loaded.id_to_token == mini_vocab.id_to_token
-    assert loaded.merges == mini_vocab.merges
+    for vocab in vocabs:
+        tok.save_vocab(vocab, path)
+        loaded = tok.load_vocab(path)
+        assert loaded.id_to_token == vocab.id_to_token
+        assert loaded.merges == vocab.merges
 
 
 def test_vocab_file_is_line_per_token(mini_vocab, tmp_path):
@@ -207,11 +217,11 @@ def test_mutated_or_truncated_vocab_file_loads_or_raises_data_error(vocab_blob, 
         vocab = tok.load_vocab(path)
     except DataError:
         return
-    tok.decode(tok.encode("ba lo mì", vocab), vocab)  # a vocabulary that loads also works
+    tok.decode(tok.encode("ba lo mì", vocab).ids, vocab)  # a vocabulary that loads also works
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.text(alphabet="abcde ", min_size=0, max_size=40))
 def test_round_trip_property_within_alphabet(text):
     vocab = tok.train_bpe(["ab ab cde cde ea"], 30)
-    assert tok.decode(tok.encode(text, vocab), vocab) == tok.normalize_text(text)
+    assert tok.decode(tok.encode(text, vocab).ids, vocab) == tok.normalize_text(text)

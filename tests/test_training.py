@@ -17,9 +17,9 @@ from warmsum.model import EncoderDecoderModel, EncoderMlm, ModelConfig, pad_batc
 from warmsum.synthetic import SyntheticSettings, generate_corpus
 from warmsum.tokenizer import BOS, EOS, MASK, PAD, encode, train_bpe
 from warmsum.training import (ADAM_EPS, BETA1, BETA2, GRADIENT_CLIP_NORM, MetricsLog,
-                              OptimizerState, TrainConfig, _mask_batch, _mlm_documents,
-                              adam_step, encode_pairs, evaluate_mlm, finetune, frame_ids,
-                              lr_at, pretrain_mlm, unigram_entropy)
+                              OptimizerState, PretrainConfig, TrainConfig, _mask_batch,
+                              _mlm_documents, adam_step, encode_pairs, evaluate_mlm, finetune,
+                              frame_ids, lr_at, pretrain_mlm, unigram_entropy)
 
 
 def _param(value, name="p"):
@@ -319,6 +319,11 @@ def test_train_config_validation():
             TrainConfig(**window)
     TrainConfig(learning_rate=0.0)  # zero lr is a valid no-op configuration
     TrainConfig(max_src_len=2, max_tgt_len=2)  # BOS and EOS alone
+    # pretraining has a source window only, and its messages name its own class
+    with pytest.raises(DataError, match="^PretrainConfig.max_src_len must be at least 2$"):
+        PretrainConfig(max_src_len=1)
+    with pytest.raises(TypeError):
+        PretrainConfig(max_tgt_len=24)
 
 
 def test_pad_batch_and_framing():
@@ -364,7 +369,7 @@ def test_a_short_window_warns_once_with_the_number_of_documents_cut(recwarn):
 
 def test_a_window_of_two_leaves_no_usable_mlm_line():
     vocab = train_bpe(["mot hai ba bon nam sau bay tam"] * 3, 60)
-    cfg = TrainConfig(max_src_len=2, batch_size=1)
+    cfg = PretrainConfig(max_src_len=2, batch_size=1)
     with pytest.warns(UserWarning, match="cut 2 of 2 documents to the window of 2"):
         assert _mlm_documents(["mot hai", "ba"], vocab, cfg) == []
     with pytest.warns(UserWarning), pytest.raises(DataError, match="0 usable lines"):
@@ -423,7 +428,7 @@ def chain_setup():
 
 def test_mlm_initial_loss_near_log_vocab(chain_setup):
     lines, vocab, model_cfg = chain_setup
-    cfg = TrainConfig(total_steps=1, warmup_steps=1, batch_size=8, max_src_len=24, seed=0)
+    cfg = PretrainConfig(total_steps=1, warmup_steps=1, batch_size=8, max_src_len=24, seed=0)
     log = MetricsLog()
     pretrain_mlm(lines, vocab, model_cfg, cfg, log)
     first_loss = log.rows[0][2]
@@ -432,8 +437,8 @@ def test_mlm_initial_loss_near_log_vocab(chain_setup):
 
 def test_mlm_learns_deterministic_structure(chain_setup):
     lines, vocab, model_cfg = chain_setup
-    cfg = TrainConfig(learning_rate=1e-2, total_steps=600, warmup_steps=50,
-                      batch_size=16, max_src_len=24, seed=1)
+    cfg = PretrainConfig(learning_rate=1e-2, total_steps=600, warmup_steps=50,
+                         batch_size=16, max_src_len=24, seed=1)
     log = MetricsLog()
     pretrain_mlm(lines, vocab, model_cfg, cfg, log)
     first = log.rows[0][2]
@@ -443,7 +448,7 @@ def test_mlm_learns_deterministic_structure(chain_setup):
 
 def test_mlm_deterministic_per_seed(chain_setup):
     lines, vocab, model_cfg = chain_setup
-    cfg = TrainConfig(total_steps=40, warmup_steps=10, batch_size=8, max_src_len=24, seed=9)
+    cfg = PretrainConfig(total_steps=40, warmup_steps=10, batch_size=8, max_src_len=24, seed=9)
     log_a, log_b = MetricsLog(), MetricsLog()
     ckpt_a = pretrain_mlm(lines, vocab, model_cfg, cfg, log_a)
     ckpt_b = pretrain_mlm(lines, vocab, model_cfg, cfg, log_b)
@@ -453,7 +458,7 @@ def test_mlm_deterministic_per_seed(chain_setup):
 
 def test_mlm_requires_one_batch_of_lines(chain_setup):
     _, vocab, model_cfg = chain_setup
-    cfg = TrainConfig(total_steps=5, batch_size=8)
+    cfg = PretrainConfig(total_steps=5, batch_size=8)
     with pytest.raises(DataError, match="fewer than one"):
         pretrain_mlm(["va ke mo"], vocab, model_cfg, cfg)
 
@@ -463,14 +468,14 @@ def test_unigram_entropy_closed_form():
     vocab = train_bpe(lines, 120)
     assert [len(encode(w, vocab).ids) for w in ("ba", "be", "bi")] == [1, 1, 1]
     # token frequencies 1/2, 1/4, 1/4
-    assert unigram_entropy(lines, vocab, TrainConfig()) == pytest.approx(1.5 * math.log(2))
+    assert unigram_entropy(lines, vocab, PretrainConfig()) == pytest.approx(1.5 * math.log(2))
 
 
 def test_evaluate_mlm_separates_trained_from_fresh_encoder(chain_setup):
     lines, vocab, model_cfg = chain_setup
     train, held_out = lines[:-50], lines[-50:]
-    cfg = TrainConfig(learning_rate=1e-2, total_steps=600, warmup_steps=50,
-                      batch_size=16, max_src_len=24, seed=1)
+    cfg = PretrainConfig(learning_rate=1e-2, total_steps=600, warmup_steps=50,
+                         batch_size=16, max_src_len=24, seed=1)
     entropy = unigram_entropy(train, vocab, cfg)
     fresh = pretrain_mlm(train, vocab, model_cfg,
                          replace(cfg, learning_rate=0.0, total_steps=1, warmup_steps=1))
@@ -487,7 +492,7 @@ def test_evaluate_mlm_separates_trained_from_fresh_encoder(chain_setup):
 def test_metrics_log_csv_format(tmp_path, chain_setup):
     lines, vocab, model_cfg = chain_setup
     path = tmp_path / "metrics.csv"
-    cfg = TrainConfig(total_steps=20, warmup_steps=5, batch_size=8, max_src_len=24)
+    cfg = PretrainConfig(total_steps=20, warmup_steps=5, batch_size=8, max_src_len=24)
     pretrain_mlm(lines, vocab, model_cfg, cfg, MetricsLog(path))
     rows = path.read_text().splitlines()
     assert rows[0] == "step,split,loss,rouge_l"
@@ -556,7 +561,7 @@ def test_non_finite_loss_names_the_phase_and_step(monkeypatch, chain_setup, copy
         monkeypatch.setattr(cls, "forward_loss", lambda self, *ids, loss=cls.forward_loss:
                             ref.scale(loss(self, *ids), math.nan))
     lines, vocab, model_cfg = chain_setup
-    cfg = TrainConfig(total_steps=3, warmup_steps=1, batch_size=8, max_src_len=24)
+    cfg = PretrainConfig(total_steps=3, warmup_steps=1, batch_size=8, max_src_len=24)
     with pytest.raises(NumericError, match="^non-finite MLM loss at step 1$"):
         pretrain_mlm(lines, vocab, model_cfg, cfg)
 
@@ -588,7 +593,7 @@ def test_non_finite_gradient_names_the_parameter_the_phase_and_step(monkeypatch,
     monkeypatch.setattr(training, "OptimizerState", RecordedState)
     monkeypatch.setattr(training.T, "backward", backward)
     lines, vocab, model_cfg = chain_setup
-    cfg = TrainConfig(total_steps=4, warmup_steps=1, batch_size=8, max_src_len=24)
+    cfg = PretrainConfig(total_steps=4, warmup_steps=1, batch_size=8, max_src_len=24)
     with pytest.raises(NumericError) as info:
         pretrain_mlm(lines, vocab, model_cfg, cfg)
     assert str(info.value) == (f"non-finite gradient in parameter {states[-1].names[0]!r} "
