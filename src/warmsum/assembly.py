@@ -14,15 +14,17 @@ self-attention weights are untouched. Fresh weights are truncated normal
 with std 0.02 (cut at 2 sigma), norm gains 1, biases 0.
 
 File format: 8-byte magic, uint32 LE version, uint64 LE header length, a
-canonical-JSON header (config, kind, vocab_ref, provenance, name/shape/offset
-table sorted by name), then raw little-endian float64 buffers.
+canonical-JSON header (config, kind, vocab_ref, provenance, and the
+name/shape/offset table that config and kind give), then raw little-endian
+float64 buffers in table order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
@@ -35,6 +37,7 @@ from .model import ModelConfig, expected_param_shapes, validate_params
 
 MAGIC = b"WARMSUMC"
 FORMAT_VERSION = 1
+_PREAMBLE = struct.Struct("<IQ")  # after the magic: format version, header length
 INIT_STD = 0.02
 
 
@@ -148,14 +151,18 @@ def assemble(encoder_ckpt: Checkpoint | None, mode: AssemblyMode,
 # serialization
 
 
+def _tensor_table(config: ModelConfig, kind: str) -> list[dict]:
+    """The name/shape/offset table of a checkpoint of `config` and `kind`: sorted
+    by name, each tensor's float64 buffer right after the one before it."""
+    table, offset = [], 0
+    for name, shape in sorted(expected_param_shapes(config, kind).items()):
+        table.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)  # Python ints, so no size overflows
+    return table
+
+
 def save_checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    names = sorted(ckpt.params)
-    table = []
-    offset = 0
-    for name in names:
-        arr = ckpt.params[name]
-        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += arr.size * 8
+    table = _tensor_table(ckpt.config, ckpt.kind)
     header = {
         "config": asdict(ckpt.config),
         "kind": ckpt.kind,
@@ -165,14 +172,9 @@ def save_checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
                               ensure_ascii=False).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", FORMAT_VERSION))
-    buf.write(struct.pack("<Q", len(header_bytes)))
-    buf.write(header_bytes)
-    for name in names:
-        buf.write(np.ascontiguousarray(ckpt.params[name], dtype="<f8").tobytes())
-    return buf.getvalue()
+    tensors = (np.ascontiguousarray(ckpt.params[e["name"]], dtype="<f8").tobytes() for e in table)
+    return b"".join([MAGIC, _PREAMBLE.pack(FORMAT_VERSION, len(header_bytes)), header_bytes,
+                     *tensors])
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -180,15 +182,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint_bytes(blob: bytes, origin: str = "<bytes>") -> Checkpoint:
-    if len(blob) < len(MAGIC) + 12 or blob[:len(MAGIC)] != MAGIC:
+    header_start = len(MAGIC) + _PREAMBLE.size
+    if len(blob) < header_start or blob[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{origin}: not a checkpoint file")
-    version = struct.unpack_from("<I", blob, len(MAGIC))[0]
+    version, header_len = _PREAMBLE.unpack_from(blob, len(MAGIC))
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{origin}: format version {version} is not the supported version {FORMAT_VERSION}"
         )
-    header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
-    header_start = len(MAGIC) + 12
     header_end = header_start + header_len
     if len(blob) < header_end:
         raise CheckpointError(f"{origin}: truncated checkpoint header")
@@ -207,7 +208,8 @@ _HEADER_TYPES = {"config": dict, "kind": str, "provenance": dict, "tensors": lis
 
 
 def _from_header(header, blob: bytes, data_start: int) -> Checkpoint:
-    """Read the tensors a parsed header describes; they must tile the data exactly."""
+    """Read the tensors a parsed header describes; its table must be the one that
+    config and kind give, and the tensors must fill the data exactly."""
     if not isinstance(header, dict) or set(header) - set(_HEADER_TYPES):
         raise DataError(f"checkpoint header is not an object with keys {sorted(_HEADER_TYPES)}")
     for key, typ in _HEADER_TYPES.items():
@@ -218,29 +220,19 @@ def _from_header(header, blob: bytes, data_start: int) -> Checkpoint:
         raise DataError(f"model config has unknown keys {sorted(keys - names)} "
                         f"and lacks keys {sorted(names - keys)}")
     config = ModelConfig(**header["config"])
-    expected = expected_param_shapes(config, header["kind"])
-    params = {}
-    offset = 0
-    for entry in header["tensors"]:
-        if not isinstance(entry, dict) or set(entry) != {"name", "shape", "offset"}:
-            raise DataError(f"malformed shape table entry {entry!r}")
-        name = entry["name"]
-        if not isinstance(name, str) or name not in expected or name in params:
-            raise DataError(f"unexpected or repeated tensor {name!r} in shape table")
-        shape = expected[name]
-        if entry["shape"] != list(shape):
-            raise DataError(f"tensor {name!r} has shape {entry['shape']}, config expects {shape}")
-        if entry["offset"] != offset:
-            raise DataError(f"tensor {name!r} is at offset {entry['offset']}, but the tensors "
-                            f"before it end at {offset}")
-        count = int(np.prod(shape))
-        if data_start + offset + 8 * count > len(blob):
-            raise DataError(f"truncated checkpoint data at tensor {name!r}")
-        params[name] = np.frombuffer(blob, dtype="<f8", count=count,
-                                     offset=data_start + offset).reshape(shape).astype(np.float64)
-        offset += 8 * count
-    if data_start + offset != len(blob):
-        raise DataError("checkpoint size disagrees with its shape table")
+    table = _tensor_table(config, header["kind"])
+    for i, pair in enumerate(itertools.zip_longest(header["tensors"], table)):  # None past an end
+        if pair[0] != pair[1]:  # as in 'name "mlm.bias", offset 0, shape [8]'
+            got, want = (", ".join(f"{k} {json.dumps(v)}" for k, v in sorted(e.items()))
+                         if isinstance(e, dict) else json.dumps(e) for e in pair)
+            raise DataError(f"shape table entry {i} reads {got}; config and kind give {want}")
+    have, need = len(blob) - data_start, sum(8 * math.prod(e["shape"]) for e in table)
+    if have != need:
+        raise DataError(f"checkpoint data is {'truncated' if have < need else 'too long'}: "
+                        f"{have} bytes, where its shape table needs {need}")
+    params = {e["name"]: np.frombuffer(blob, dtype="<f8", count=math.prod(e["shape"]),
+                                       offset=data_start + e["offset"])
+              .reshape(e["shape"]).astype(np.float64) for e in table}
     return Checkpoint(config, header["kind"], params, header["vocab_ref"], header["provenance"])
 
 

@@ -262,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, IsADirectoryError, PermissionError) as e:
+    except (DataError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

@@ -309,10 +309,13 @@ def pretraining_lines(examples) -> list[str]:
 
 
 _QUALITY_FILE = "encoder_quality.json"
+_QUALITY_KEYS = ("mlm_dev_loss", "mlm_dev_accuracy", "unigram_entropy")
 
 
 @contextmanager
 def _timed(timings: dict, phase: str):
+    """Time a phase this process runs, not one resumed from disk, for the stage's
+    timings.json; no other artifact depends on that file, and no run reads it."""
     start = time.perf_counter()
     try:
         yield
@@ -322,12 +325,22 @@ def _timed(timings: dict, phase: str):
     timings[f"{phase}_s"] = time.perf_counter() - start
 
 
-def _write_timings(directory: Path, timings: dict) -> None:
-    """Record the wall time of each phase this process ran, not of those resumed
-    from disk; no other artifact depends on the file, and no run reads it."""
-    if timings:
-        write_atomic(directory / "timings.json",
-                     json.dumps(timings, indent=2, sort_keys=True) + "\n")
+def _write_record(path: Path, record: dict) -> None:
+    """Write a JSON record (scores, encoder quality, timings) in its one form."""
+    write_atomic(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def _read_record(path: Path, what: str, numbers, noun: str = "values") -> list:
+    """The numbers that `numbers(record)` picks from the JSON record at `path`;
+    a malformed record, or a number that is not finite, is a DataError naming it."""
+    try:
+        values = numbers(json.loads(path.read_text(encoding="utf-8")))
+        if not all(type(x) in (int, float) and math.isfinite(x) for x in values):
+            raise ValueError(f"{noun} must be finite numbers, got {values!r}")
+    # JSON and UTF-8 errors are ValueErrors; an integer past float range overflows
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
+        raise DataError(f"{path}: malformed {what} ({type(e).__name__}: {e})") from None
+    return values
 
 
 def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
@@ -350,10 +363,9 @@ def _prepare_encoder(cfg: ExperimentConfig, out: Path, model_cfg: ModelConfig,
                                           cfg.pretrain)
             entropy = unigram_entropy(pretraining_lines(splits["train"]), vocab,
                                       cfg.pretrain)
-            quality = {"mlm_dev_loss": loss, "mlm_dev_accuracy": accuracy,
-                       "unigram_entropy": entropy}
-            write_atomic(quality_path, json.dumps(quality, indent=2, sort_keys=True) + "\n")
-    _write_timings(out, timings)
+            _write_record(quality_path, dict(zip(_QUALITY_KEYS, (loss, accuracy, entropy))))
+    if timings:
+        _write_record(out / "timings.json", timings)
 
 
 def _decode_test(cfg: ExperimentConfig, model_ckpt, bodies: list[str],
@@ -369,25 +381,25 @@ def _decode_test(cfg: ExperimentConfig, model_ckpt, bodies: list[str],
     return [tok.decode(list(h.ids), vocab) for h in hyps]
 
 
+def _cell_dir(out: Path, mode: str, seed: int) -> Path:
+    return out / "cells" / f"{mode}_s{seed}"
+
+
 def _read_scores(path: Path, mode: str, seed: int) -> CellResult:
     """The result a cell persisted; a malformed file is a DataError naming it."""
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+    def f1(obj):
         if (obj["mode"], obj["seed"]) != (mode, seed):
             raise ValueError(f"it records cell {obj['mode']!r} seed {obj['seed']!r}")
-        f1 = [obj[key]["f1"] for key in ("rouge1", "rouge2", "rougeL")]
-        if not all(type(x) in (int, float) and math.isfinite(x) for x in f1):
-            raise ValueError(f"f1 scores must be finite numbers, got {f1!r}")
-    # JSON and UTF-8 errors are ValueErrors; an integer past float range overflows
-    except (ValueError, KeyError, TypeError, OverflowError) as e:
-        raise DataError(f"{path}: malformed scores ({type(e).__name__}: {e})") from None
-    return CellResult(mode, seed, f1[0] * 100, f1[1] * 100, f1[2] * 100)
+        return [obj[key]["f1"] for key in ("rouge1", "rouge2", "rougeL")]
+
+    r1, r2, rl = _read_record(path, "scores", f1, "f1 scores")
+    return CellResult(mode, seed, r1 * 100, r2 * 100, rl * 100)
 
 
 def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
               model_cfg: ModelConfig, splits, vocab) -> None:
     """Run one cell unless its scores.json exists; that file is its result."""
-    cell = out / "cells" / f"{mode}_s{seed}"
+    cell = _cell_dir(out, mode, seed)
     cell.mkdir(parents=True, exist_ok=True)
     (cell / "error.txt").unlink(missing_ok=True)  # an earlier run's failure
     scores_path = cell / "scores.json"
@@ -419,11 +431,10 @@ def _run_cell(cfg: ExperimentConfig, out: Path, mode: str, seed: int,
             "seed": seed,
             "checkpoint_sha256": _sha256(cell / "best.ckpt"),
             "decodes_sha256": _sha256(decodes_path),
+            **{key: dataclasses.asdict(sc) for key, sc in scores.items()},
         }
-        for key, sc in scores.items():
-            record[key] = {"precision": sc.precision, "recall": sc.recall, "f1": sc.f1}
-    _write_timings(cell, timings)
-    write_atomic(scores_path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_record(cell / "timings.json", timings)
+    _write_record(scores_path, record)
 
 
 def _cores() -> int:
@@ -541,7 +552,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultsTable:
     for mode, seed in cells:
         if results[mode, seed]:  # record the diagnostic
             error, trace = results[mode, seed]
-            cell = out / "cells" / f"{mode}_s{seed}"
+            cell = _cell_dir(out, mode, seed)
             cell.mkdir(parents=True, exist_ok=True)
             message = f"{type(error).__name__}: {error}".splitlines()[0]  # the table's row
             write_atomic(cell / "error.txt", f"cell {mode} seed {seed}\n{message}\n" + trace)
@@ -559,7 +570,7 @@ def load_results(output_dir) -> ResultsTable:
     table = ResultsTable()
     for mode in cfg.modes:
         for seed in cfg.seeds:
-            scores_path = out / "cells" / f"{mode}_s{seed}" / "scores.json"
+            scores_path = _cell_dir(out, mode, seed) / "scores.json"
             if scores_path.exists():
                 table.rows.append(_read_scores(scores_path, mode, seed))
                 continue
@@ -576,14 +587,7 @@ def encoder_quality_text(output_dir) -> str:
     path = Path(output_dir) / _QUALITY_FILE
     if not path.exists():
         return ""
-    keys = ("mlm_dev_loss", "mlm_dev_accuracy", "unigram_entropy")
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        loss, accuracy, entropy = (obj[k] for k in keys)
-        if not all(type(x) in (int, float) and math.isfinite(x)
-                   for x in (loss, accuracy, entropy)):
-            raise ValueError(f"values must be finite numbers, got {[obj[k] for k in keys]!r}")
-    except (ValueError, KeyError, TypeError, OverflowError) as e:  # as in _read_scores
-        raise DataError(f"{path}: malformed encoder quality ({type(e).__name__}: {e})") from None
+    loss, accuracy, entropy = _read_record(path, "encoder quality",
+                                           lambda obj: [obj[k] for k in _QUALITY_KEYS])
     return (f"MLM encoder: dev masked-token loss {loss:.3f} nats "
             f"(accuracy {accuracy:.1%}), unigram entropy {entropy:.3f} nats\n")

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -14,7 +16,7 @@ from warmsum.assembly import (MAGIC, AssemblyMode, Checkpoint, assemble,
                               save_checkpoint_bytes, warm_copy_map)
 from warmsum.cli import main
 from warmsum.errors import CheckpointError, DataError
-from warmsum.model import EncoderDecoderModel, ModelConfig
+from warmsum.model import EncoderDecoderModel, ModelConfig, expected_param_shapes
 from warmsum.tokenizer import BOS, EOS, PAD
 
 CFG = ModelConfig(vocab_size=24, d_model=8, n_heads=2, d_ff=16,
@@ -216,6 +218,13 @@ SMALL = ModelConfig(vocab_size=8, d_model=2, n_heads=1, d_ff=2, n_enc_layers=1,
 SMALL_BLOB = save_checkpoint_bytes(assemble(None, AssemblyMode.RND2RND, SMALL, seed=0))
 
 
+def test_checkpoint_format_bytes_are_pinned():
+    # a change to these bytes is a format change, which needs a new FORMAT_VERSION
+    assert len(SMALL_BLOB) == 5046
+    assert hashlib.sha256(SMALL_BLOB).hexdigest() == \
+        "b571d5ed2e318958dfa884aeee85cfc6e4781b417c3b738d3e3b2b9c849154c9"
+
+
 def _with_header(blob: bytes, edit) -> bytes:
     """The blob with its JSON header passed through edit(header)."""
     header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
@@ -241,6 +250,43 @@ def test_tensors_sharing_bytes_rejected():
 
     with pytest.raises(CheckpointError, match="offset"):
         load_checkpoint_bytes(_with_header(SMALL_BLOB, edit))
+
+
+def test_permuted_table_that_tiles_is_rejected():
+    def edit(header):
+        first, second = header["tensors"][:2]
+        second["offset"], first["offset"] = 0, 8 * math.prod(second["shape"])
+        header["tensors"][:2] = second, first
+
+    with pytest.raises(CheckpointError, match='entry 0 reads name "decoder.embed.norm.gain"'):
+        load_checkpoint_bytes(_with_header(SMALL_BLOB, edit))
+
+
+@pytest.mark.parametrize("first", ["encoder.embed.token", None],
+                         ids=["embedding-first", "sorted"])
+def test_table_whose_sizes_overflow_int64_is_refused(tmp_path, capsys, first):
+    # the embedding has 2**64 elements, a count that an int64 product wraps to 0
+    config = dataclasses.replace(SMALL, vocab_size=2**32, d_model=2**32)
+    shapes = expected_param_shapes(config, "encoder_decoder")
+    names = [first] + sorted(set(shapes) - {first}) if first else sorted(shapes)
+
+    def edit(header):
+        header["config"].update(vocab_size=2**32, d_model=2**32)
+        header["tensors"], offset = [], 0
+        for name in names:  # offsets that tile, each after the one before
+            header["tensors"].append({"name": name, "shape": list(shapes[name]),
+                                      "offset": offset})
+            offset += 8 * math.prod(shapes[name])
+
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(_with_header(SMALL_BLOB, edit))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg), "--ckpt", str(path), "--vocab", "v.txt",
+                 "--input", "in.txt", "--out", "out.txt"]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_header_without_kind_rejected():

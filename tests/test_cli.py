@@ -383,6 +383,25 @@ def test_report_prints_the_encoder_quality_and_refuses_a_malformed_one(tmp_path,
         assert f"{quality}: malformed encoder quality (ValueError" in capsys.readouterr().err
 
 
+def test_run_whose_output_dir_is_a_regular_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "runs"
+    out.write_text("a file\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_to_json(tiny_config(out)), encoding="utf-8")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"File exists: '{out}'" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "a file\n"
+
+
+def test_out_under_a_regular_file_exits_2(tmp_path, capsys):
+    cfg, afile = tmp_path / "cfg.json", tmp_path / "afile"
+    cfg.write_text("{}", encoding="utf-8")
+    afile.write_text("", encoding="utf-8")
+    assert main(["tokenizer-train", "--config", str(cfg), "--corpus",
+                 str(DATA_DIR / "mini_corpus.jsonl"), "--out", str(afile / "vocab.txt")]) == 2
+    assert "Not a directory" in capsys.readouterr().err
+
+
 def test_evaluate_non_utf8_candidates_exits_2(tmp_path, capsys):
     cand, ref = tmp_path / "cand.txt", tmp_path / "ref.txt"
     cand.write_bytes(b"con m\xe8o\n")
