@@ -22,11 +22,10 @@ float64 buffers in table order.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -161,6 +160,20 @@ def _tensor_table(config: ModelConfig, kind: str) -> list[dict]:
     return table
 
 
+def _layout_size(config: ModelConfig, kind: str) -> tuple[int, int]:
+    """The tensor count and data bytes of `_tensor_table(config, kind)`, with no
+    per-layer work: the layouts at 0 and 1 layers give the fixed part and each
+    layer's share."""
+    def size(n_enc: int, n_dec: int) -> tuple[int, int]:
+        shapes = expected_param_shapes(
+            replace(config, n_enc_layers=n_enc, n_dec_layers=n_dec), kind).values()
+        return len(shapes), sum(8 * math.prod(shape) for shape in shapes)
+
+    base, enc, dec = size(0, 0), size(1, 0), size(0, 1)
+    return tuple(b + config.n_enc_layers * (e - b) + config.n_dec_layers * (d - b)
+                 for b, e, d in zip(base, enc, dec))
+
+
 def save_checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     table = _tensor_table(ckpt.config, ckpt.kind)
     header = {
@@ -220,13 +233,17 @@ def _from_header(header, blob: bytes, data_start: int) -> Checkpoint:
         raise DataError(f"model config has unknown keys {sorted(keys - names)} "
                         f"and lacks keys {sorted(names - keys)}")
     config = ModelConfig(**header["config"])
+    count, need = _layout_size(config, header["kind"])
+    if len(header["tensors"]) != count:  # refused before a table of `count` entries is built
+        raise DataError(f"shape table has {len(header['tensors'])} entries; "
+                        f"config and kind give {count}")
     table = _tensor_table(config, header["kind"])
-    for i, pair in enumerate(itertools.zip_longest(header["tensors"], table)):  # None past an end
+    for i, pair in enumerate(zip(header["tensors"], table)):
         if pair[0] != pair[1]:  # as in 'name "mlm.bias", offset 0, shape [8]'
             got, want = (", ".join(f"{k} {json.dumps(v)}" for k, v in sorted(e.items()))
                          if isinstance(e, dict) else json.dumps(e) for e in pair)
             raise DataError(f"shape table entry {i} reads {got}; config and kind give {want}")
-    have, need = len(blob) - data_start, sum(8 * math.prod(e["shape"]) for e in table)
+    have = len(blob) - data_start
     if have != need:
         raise DataError(f"checkpoint data is {'truncated' if have < need else 'too long'}: "
                         f"{have} bytes, where its shape table needs {need}")

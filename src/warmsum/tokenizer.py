@@ -8,12 +8,19 @@ Vocabulary ids 0..4 are reserved for PAD, UNK, BOS, EOS and MASK, in that
 order. Training is deterministic: the most frequent adjacent pair merges
 first, ties broken by the lexicographically smallest pair, stopping at the
 target size or when no pair occurs at least twice.
+
+The learner counts each distinct word once and keeps, per adjacent pair, its
+count and the set of words that hold it. It takes the best pair from a heap of
+(-count, pair) entries, skipping those whose count has since changed, and a
+merge recounts only the words in that pair's set, so a merge costs the words
+it touches rather than the whole corpus.
 """
 
 from __future__ import annotations
 
+import heapq
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -73,21 +80,15 @@ def _symbols(word: str) -> list[str]:
     return list(word) + [WORD_END]
 
 
-def _pretokenize(text: str) -> list[list[str]]:
-    """Split normalized text into the symbol sequences of its words."""
-    return [_symbols(w) for w in normalize_text(text).split()]
-
-
 def train_bpe(corpus: Iterable[str], target_vocab_size: int) -> Vocabulary:
     """Learn a BPE vocabulary of at most `target_vocab_size` entries."""
-    unit_counts: Counter[tuple[str, ...]] = Counter()
-    for line in corpus:
-        for unit in _pretokenize(line):
-            unit_counts[tuple(unit)] += 1
-    if not unit_counts:
+    word_counts = Counter(word for line in corpus for word in normalize_text(line).split())
+    if not word_counts:
         raise DataError("cannot train a vocabulary on an empty corpus")
 
-    alphabet = sorted({sym for unit in unit_counts for sym in unit})
+    words = [_symbols(word) for word in word_counts]
+    counts = list(word_counts.values())
+    alphabet = sorted({sym for syms in words for sym in syms})
     tokens = list(SPECIAL_TOKENS) + alphabet
     if target_vocab_size < len(tokens):
         raise DataError(
@@ -95,24 +96,45 @@ def train_bpe(corpus: Iterable[str], target_vocab_size: int) -> Vocabulary:
             f"{len(alphabet)} base symbols + {NUM_SPECIALS} specials"
         )
 
-    units = {unit: [count, list(unit)] for unit, count in unit_counts.items()}
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)  # pair -> word indices
+    for w, syms in enumerate(words):
+        for pair in zip(syms, syms[1:]):
+            pair_counts[pair] += counts[w]
+            holders[pair].add(w)
+    # every pair's current count has an entry; an entry whose count is not the
+    # pair's current one is stale and skipped when it comes to the top
+    heap = [(-n, pair) for pair, n in pair_counts.items()]
+    heapq.heapify(heap)
     merges: list[tuple[str, str]] = []
     seen = set(tokens)
-    while len(tokens) < target_vocab_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for count, syms in units.values():
-            for i in range(len(syms) - 1):
-                pair_counts[(syms[i], syms[i + 1])] += count
-        if not pair_counts:
+    while len(tokens) < target_vocab_size and heap:
+        neg_count, pair = heapq.heappop(heap)
+        if pair_counts.get(pair) != -neg_count:
+            continue
+        if -neg_count < 2:
             break
-        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if best[1] < 2:
-            break
-        pair = best[0]
         merges.append(pair)
         merged = pair[0] + pair[1]
-        for entry in units.values():
-            entry[1] = _apply_merge(entry[1], pair, merged)
+        changed = set()
+        for w in holders.pop(pair):
+            old = words[w]
+            new = words[w] = _apply_merge(old, pair, merged)
+            old_pairs, new_pairs = list(zip(old, old[1:])), list(zip(new, new[1:]))
+            for p in old_pairs:
+                pair_counts[p] -= counts[w]
+            for p in new_pairs:
+                pair_counts[p] += counts[w]
+            for p in set(old_pairs) - set(new_pairs):
+                holders[p].discard(w)
+            for p in set(new_pairs) - set(old_pairs):
+                holders[p].add(w)
+            changed.update(old_pairs, new_pairs)
+        for p in changed:
+            if pair_counts[p]:
+                heapq.heappush(heap, (-pair_counts[p], p))
+            else:
+                del pair_counts[p]
         if merged not in seen:
             tokens.append(merged)
             seen.add(merged)

@@ -1,4 +1,5 @@
-"""Every reference the tests run against `warmsum.tensor`, in one module.
+"""Every reference the tests run against `warmsum.tensor` and the BPE learner,
+in one module.
 
 - The primitive ops (`add`, `add_const`, `scale`, `sum_all`, `softmax`,
   `layer_norm`, `reshape`), which the library no longer ships: the model runs
@@ -13,12 +14,21 @@
 
 `install(patch)` puts the chains in place of the fused ops and the frozen
 expressions in place of the kernels they pin, through a pytest monkeypatch.
+
+- `train_bpe`: the first BPE learner, which recounts every pair of every word
+  and scans all pairs for each merge. `warmsum.tokenizer.train_bpe` must learn
+  the same tokens and merges.
 """
+
+from collections import Counter
+from typing import Iterable
 
 import numpy as np
 
 from warmsum import tensor as T
-from warmsum.errors import ShapeMismatchError
+from warmsum.errors import DataError, ShapeMismatchError
+from warmsum.tokenizer import (NUM_SPECIALS, SPECIAL_TOKENS, Vocabulary, _apply_merge,
+                               _symbols, normalize_text)
 
 # ---------------------------------------------------------------------------
 # primitive ops
@@ -216,3 +226,53 @@ KERNELS = {"_softmax": _softmax, "_softmax_grad": _softmax_grad, "_normalize": _
 def install(patch):
     for name, fn in {**CHAINS, **KERNELS}.items():
         patch.setattr(T, name, fn)
+
+
+# ---------------------------------------------------------------------------
+# BPE learner
+
+
+def _pretokenize(text: str) -> list[list[str]]:
+    """Split normalized text into the symbol sequences of its words."""
+    return [_symbols(w) for w in normalize_text(text).split()]
+
+
+def train_bpe(corpus: Iterable[str], target_vocab_size: int) -> Vocabulary:
+    """Learn a BPE vocabulary of at most `target_vocab_size` entries."""
+    unit_counts: Counter[tuple[str, ...]] = Counter()
+    for line in corpus:
+        for unit in _pretokenize(line):
+            unit_counts[tuple(unit)] += 1
+    if not unit_counts:
+        raise DataError("cannot train a vocabulary on an empty corpus")
+
+    alphabet = sorted({sym for unit in unit_counts for sym in unit})
+    tokens = list(SPECIAL_TOKENS) + alphabet
+    if target_vocab_size < len(tokens):
+        raise DataError(
+            f"target_vocab_size {target_vocab_size} is below the "
+            f"{len(alphabet)} base symbols + {NUM_SPECIALS} specials"
+        )
+
+    units = {unit: [count, list(unit)] for unit, count in unit_counts.items()}
+    merges: list[tuple[str, str]] = []
+    seen = set(tokens)
+    while len(tokens) < target_vocab_size:
+        pair_counts: Counter[tuple[str, str]] = Counter()
+        for count, syms in units.values():
+            for i in range(len(syms) - 1):
+                pair_counts[(syms[i], syms[i + 1])] += count
+        if not pair_counts:
+            break
+        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        if best[1] < 2:
+            break
+        pair = best[0]
+        merges.append(pair)
+        merged = pair[0] + pair[1]
+        for entry in units.values():
+            entry[1] = _apply_merge(entry[1], pair, merged)
+        if merged not in seen:
+            tokens.append(merged)
+            seen.add(merged)
+    return Vocabulary(tokens, merges)

@@ -289,6 +289,23 @@ def test_table_whose_sizes_overflow_int64_is_refused(tmp_path, capsys, first):
     assert str(path) in capsys.readouterr().err
 
 
+def test_header_of_ten_million_layers_is_refused_before_any_per_layer_work(tmp_path, capsys):
+    # deriving this config's table would take some 100 GB; its tensor count takes none
+    def edit(header):
+        header["config"]["n_enc_layers"] = 10**7
+
+    path = tmp_path / "deep.ckpt"
+    path.write_bytes(_with_header(SMALL_BLOB, edit))
+    with pytest.raises(CheckpointError, match="shape table has 50 entries; config and kind "
+                                              "give 160000034"):
+        load_checkpoint(path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg), "--ckpt", str(path), "--vocab", "v.txt",
+                 "--input", "in.txt", "--out", "out.txt"]) == 2
+    assert "shape table has 50 entries" in capsys.readouterr().err
+
+
 def test_header_without_kind_rejected():
     with pytest.raises(CheckpointError, match="'kind' is missing"):
         load_checkpoint_bytes(_with_header(SMALL_BLOB, lambda h: h.pop("kind")))

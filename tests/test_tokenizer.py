@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_ops as ref
 from conftest import DATA_DIR
 from warmsum import tokenizer as tok
 from warmsum.corpus import load_jsonl
@@ -51,6 +53,70 @@ def test_training_is_deterministic(mini_lines, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _learned(train, lines, target):
+    """The tokens and merges `train` learns, or the message of the DataError it raises."""
+    try:
+        vocab = train(lines, target)
+    except DataError as e:
+        return str(e)
+    return vocab.id_to_token, vocab.merges
+
+
+@pytest.mark.parametrize("target", [91, 100, 220, 512, 548, 600])  # 548 saturates
+def test_learner_matches_the_first_learner_on_mini_corpus(mini_lines, target):
+    assert _learned(tok.train_bpe, mini_lines, target) == _learned(ref.train_bpe, mini_lines,
+                                                                   target)
+
+
+@st.composite
+def small_corpora(draw):
+    """Lines over two or three letters, which force runs like "aaaa", tied counts and
+    the stop below a count of 2. Words that spell the word-end marker let a merge
+    make a string that is already a token, or make a merged pair adjacent again."""
+    pieces = draw(st.sampled_from([["a", "b"], ["a", "b", "c"], ["a", "b", tok.WORD_END]]))
+    word = st.lists(st.sampled_from(pieces), min_size=1, max_size=8).map("".join)
+    words = draw(st.lists(word, min_size=1, max_size=6))  # few words, so that they repeat
+    line = st.lists(st.sampled_from(words), min_size=1, max_size=8).map(" ".join)
+    return draw(st.lists(line, min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_corpora(), st.integers(8, 60))
+def test_learner_matches_the_first_learner_on_small_corpora(lines, target):
+    assert _learned(tok.train_bpe, lines, target) == _learned(ref.train_bpe, lines, target)
+
+
+def test_learner_matches_the_first_learner_when_a_merged_pair_comes_back():
+    lines = ["b</w>b</w> b", "b", "b b"]
+    # merging "</w" and ">" remakes the word end, so "b" "</w>" is adjacent again
+    assert tok.train_bpe(lines, 200).merges.count(("b", tok.WORD_END)) == 2
+    assert _learned(tok.train_bpe, lines, 200) == _learned(ref.train_bpe, lines, 200)
+
+
+@pytest.mark.parametrize("target, sha256", [
+    (220, "dbf31ac32ce32ed6062e2810513601ad28b81b7d3676bb612752ffeb585d7f18"),
+    (512, "8e8b42c2b7f74bfa9305eb124a53b6b66632631d1ae9f3f8ef8e4097be0ff10f"),  # vietnamese-long's
+])
+def test_vocab_file_bytes_are_pinned(mini_lines, tmp_path, target, sha256):
+    path = tmp_path / "vocab.txt"
+    tok.save_vocab(tok.train_bpe(mini_lines, target), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_learner_reapplies_a_merge_only_to_the_words_that_hold_it(mini_lines, monkeypatch):
+    calls = 0
+    apply_merge = tok._apply_merge
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return apply_merge(*args)
+
+    monkeypatch.setattr(tok, "_apply_merge", counted)
+    assert len(tok.train_bpe(mini_lines, 512).merges) == 421
+    assert calls <= 5 * 421  # a rescan of all 249 distinct words per merge makes 104,829
+
+
 def test_specials_occupy_first_five_ids(mini_vocab):
     assert mini_vocab.id_to_token[:5] == ["<pad>", "<unk>", "<s>", "</s>", "<mask>"]
     assert (tok.PAD, tok.UNK, tok.BOS, tok.EOS, tok.MASK) == (0, 1, 2, 3, 4)
@@ -68,7 +134,7 @@ def test_word_cache_keeps_ids_equality_and_repr(mini_lines):
 
     def reference(line):  # every merge applied to every word, nothing cached
         ids = []
-        for syms in tok._pretokenize(line):
+        for syms in ref._pretokenize(line):
             for pair in vocab.merges:
                 syms = tok._apply_merge(syms, pair, pair[0] + pair[1])
             ids.extend(vocab.token_to_id.get(s, tok.UNK) for s in syms)
@@ -140,7 +206,7 @@ def test_vocab_size_capped_by_achievable_merges():
 
 def test_every_token_occurs_in_training_corpus(mini_lines, mini_vocab):
     corpus_text = "\x00".join(
-        "".join(sym for unit in tok._pretokenize(line) for sym in unit)
+        "".join(sym for unit in ref._pretokenize(line) for sym in unit)
         for line in mini_lines)
     for token in mini_vocab.id_to_token[tok.NUM_SPECIALS:]:
         assert token in corpus_text
